@@ -14,7 +14,7 @@ from contextlib import contextmanager
 
 import click
 
-from .densela import Matrix, inverse, matmul
+from .densela import Matrix, matmul
 from .eigen import eigenvalues
 from .errors import ConvergenceError, SingularMatrixError
 from .minorlimit import ConvergenceReport, DiagonalRay, limit_minor_inverse
@@ -413,7 +413,7 @@ def cmd_ngm(config_path, out):
         if "model" not in cfg:
             raise ConfigError("config", 'needs a "model" section')
         pair, _closed = _parse_model(cfg)
-        product = matmul(pair.F, inverse(pair.V))
+        product = matmul(pair.F, pair.V_inv)
         spectrum = eigenvalues(product)
         _emit(render_json({
             "labels": list(pair.labels),

@@ -33,6 +33,8 @@ SINGULARITY_RTOL = 1e-12
 # cofactor_det is O(n!) and exists as a test oracle only.
 COFACTOR_SIZE_LIMIT = 10
 
+_SMALLEST_POSITIVE = float(np.nextafter(0.0, 1.0))
+
 
 class Matrix:
     """Immutable dense real matrix stored row-major as 64-bit floats.
@@ -207,51 +209,92 @@ def inf_norm(a: Matrix) -> float:
     return float(np.abs(a._a).sum(axis=1).max())
 
 
-def _lu_factor(a: np.ndarray,
-               pivot_floor: float) -> tuple[np.ndarray, np.ndarray, float]:
-    """Row-pivoted LU factorization PA = LU with sign tracking.
+def _lu_stack(lu: np.ndarray, floors: np.ndarray, scratch: np.ndarray):
+    """Row-pivoted LU factorization P A = L U of every member of a stack.
 
-    Returns (lu, perm, sign) where ``lu`` packs the unit-lower and upper
-    factors and ``perm`` maps pivoted rows to original rows. Raises
-    SingularMatrixError when the best available pivot falls below
-    ``pivot_floor`` (or is exactly zero).
+    Factors the C-contiguous (B, n, n) array ``lu`` in place, packing each
+    member's unit-lower and upper factors, and uses ``scratch`` (same
+    shape) for the rank-1 updates. The column loop runs once for the whole
+    stack; each elementwise update is the one, in the same order, that the
+    elimination of that member alone performs, so a member's factors do
+    not depend on the rest of the stack.
+
+    Returns ``(perm, swaps, column, pivots)``:
+
+    * ``perm[b * n + r]`` is the flat row (``b * n + r'``, row r' of
+      member b) that pivoting moved to row r of member b;
+    * ``swaps[b]`` counts member b's row interchanges;
+    * ``column[b]`` is the 1-based column where member b first met a
+      pivot below ``floors[b]`` (or exactly zero), 0 if it never did;
+    * ``pivots[b, k]`` is the magnitude of member b's pivot in column
+      k + 1.
+
+    A member that fails is eliminated to the end all the same and its
+    later factors mean nothing; callers silence the arithmetic warnings
+    that raises.
     """
-    n = a.shape[0]
-    lu = a.astype(np.float64, copy=True)
-    perm = np.arange(n)
-    sign = 1.0
-    for k in range(n):
-        p = k + int(np.argmax(np.abs(lu[k:, k])))
-        piv = abs(lu[p, k])
-        if piv < pivot_floor or piv == 0.0:
-            if piv == 0.0:
-                detail = f"zero pivot in column {k + 1}"
-            else:
-                detail = (f"pivot {piv:.3e} in column {k + 1} is below "
-                          f"the singularity threshold {pivot_floor:.3e}")
-            raise SingularMatrixError(
-                f"matrix is singular to working tolerance: {detail}",
-                pivot=piv, column=k + 1)
-        if p != k:
-            lu[[k, p]] = lu[[p, k]]
-            perm[[k, p]] = perm[[p, k]]
-            sign = -sign
-        lu[k + 1:, k] /= lu[k, k]
-        lu[k + 1:, k + 1:] -= np.outer(lu[k + 1:, k], lu[k, k + 1:])
-    return lu, perm, sign
+    count, n, _ = lu.shape
+    rows = lu.reshape(count * n, n)
+    perm = np.arange(count * n)
+    starts = np.arange(0, count * n, n)
+    diagonal = lu.diagonal(0, 1, 2)[:, :, None]
+    flips = []
+    # the last column has one candidate pivot and nothing left to update
+    for k in range(n - 1):
+        below = np.abs(lu[:, k:, k]).argmax(axis=1)
+        if np.count_nonzero(below):
+            # swap the flat rows k and k + below of every member (a row
+            # with itself where below is 0); reversing the list of rows
+            # pairs each one with its partner
+            here = starts + k
+            to = np.concatenate((here, (here + below)[::-1]))
+            fro = to[::-1]
+            rows[to] = rows[fro]
+            perm[to] = perm[fro]
+            flips.append(below)
+        lu[:, k + 1:, k] /= diagonal[:, k]
+        update = scratch[:, k + 1:, k + 1:]
+        np.multiply(lu[:, k + 1:, k, None], lu[:, k, None, k + 1:],
+                    out=update)
+        lu[:, k + 1:, k + 1:] -= update
+    swaps = (np.count_nonzero(flips, axis=0) if flips
+             else np.zeros(count, dtype=np.intp))
+    # The pivots end up on the diagonal. Raising a zero floor to the
+    # smallest positive double makes one comparison catch a zero pivot.
+    pivots = np.abs(diagonal[:, :, 0])
+    low = pivots < np.maximum(floors, _SMALLEST_POSITIVE)[:, None]
+    column = np.where(low.any(axis=1), low.argmax(axis=1) + 1, 0)
+    return perm, swaps, column, pivots
 
 
-def _lu_solve(lu: np.ndarray, perm: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Solve A X = B given the packed factorization of A."""
-    n = lu.shape[0]
-    x = b[perm].astype(np.float64, copy=True)
-    for k in range(1, n):
-        x[k] -= lu[k, :k] @ x[:k]
-    for k in range(n - 1, -1, -1):
-        if k < n - 1:
-            x[k] -= lu[k, k + 1:] @ x[k + 1:]
-        x[k] /= lu[k, k]
-    return x
+def _inverse_stack(a: np.ndarray, floors: np.ndarray):
+    """Inverse of every member of a C-contiguous (B, n, n) stack.
+
+    ``a`` is overwritten by its LU factors; the inverse buffer doubles as
+    the factorization's scratch, so no third stack is allocated.
+    ``floors[b]`` is member b's pivot floor. Returns
+    ``(inverses, column, pivots)`` with ``column`` and ``pivots`` as
+    reported by :func:`_lu_stack`; a member with a nonzero column comes
+    back as NaN.
+    """
+    count, n, _ = a.shape
+    inv = np.empty_like(a)
+    diagonal = a.diagonal(0, 1, 2)[:, :, None]
+    with np.errstate(all="ignore"):
+        perm, _, column, pivots = _lu_stack(a, floors, inv)
+        # P applied to the identity, then forward and back substitution
+        inv.fill(0.0)
+        inv.reshape(count * n, n)[np.arange(count * n), perm % n] = 1.0
+        for k in range(1, n):
+            inv[:, k:k + 1] -= np.matmul(a[:, k:k + 1, :k], inv[:, :k])
+        for k in range(n - 1, -1, -1):
+            if k < n - 1:
+                inv[:, k:k + 1] -= np.matmul(a[:, k:k + 1, k + 1:],
+                                             inv[:, k + 1:])
+            inv[:, k] /= diagonal[:, k]
+    if np.count_nonzero(column):
+        inv[column > 0] = np.nan
+    return inv, column, pivots
 
 
 def determinant(a: Matrix) -> float:
@@ -260,11 +303,13 @@ def determinant(a: Matrix) -> float:
     Returns 0.0 when elimination meets an exactly zero pivot column.
     """
     _require_square(a, "determinant")
-    try:
-        lu, _, sign = _lu_factor(a._a, 0.0)
-    except SingularMatrixError:
+    lu = a._a[None].copy()
+    with np.errstate(all="ignore"):
+        _, swaps, column, _ = _lu_stack(lu, np.zeros(1), np.empty_like(lu))
+    if column[0]:
         return 0.0
-    return float(sign * np.prod(np.diag(lu)))
+    sign = -1.0 if swaps[0] % 2 else 1.0
+    return float(sign * np.prod(np.diag(lu[0])))
 
 
 def cofactor_det(a: Matrix) -> float:
@@ -302,5 +347,18 @@ def inverse(a: Matrix) -> Matrix:
     when a pivot falls below ``SINGULARITY_RTOL * inf_norm(a)``.
     """
     _require_square(a, "inverse")
-    lu, perm, _ = _lu_factor(a._a, SINGULARITY_RTOL * inf_norm(a))
-    return Matrix._wrap(_lu_solve(lu, perm, np.eye(a.rows)))
+    floor = SINGULARITY_RTOL * inf_norm(a)
+    inv, column, pivots = _inverse_stack(a._a[None].copy(),
+                                         np.array([floor]))
+    if column[0]:
+        k = int(column[0])
+        piv = float(pivots[0, k - 1])
+        if piv == 0.0:
+            detail = f"zero pivot in column {k}"
+        else:
+            detail = (f"pivot {piv:.3e} in column {k} is below "
+                      f"the singularity threshold {floor:.3e}")
+        raise SingularMatrixError(
+            f"matrix is singular to working tolerance: {detail}",
+            pivot=piv, column=k)
+    return Matrix._wrap(inv[0])

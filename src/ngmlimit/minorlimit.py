@@ -24,8 +24,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .densela import (Matrix, inf_norm, inverse, matmul, minor, set_entry,
-                      determinant)
+from .densela import (SINGULARITY_RTOL, Matrix, _inverse_stack, determinant,
+                      inf_norm, inverse, matmul, minor, set_entry)
 from .eigen import spectral_radius
 from .errors import ConvergenceError, SingularMatrixError
 
@@ -77,6 +77,16 @@ class DiagonalRay:
     def at(self, t: float) -> Matrix:
         """The family member with diagonal entry (i, i) set to ``t``."""
         return set_entry(self.base, self.i, self.i, t)
+
+    def at_many(self, ts: Sequence[float]) -> np.ndarray:
+        """The members at every t, stacked into a fresh (len(ts), n, n)
+        array that the caller owns."""
+        values = np.array([float(t) for t in ts])
+        if not np.isfinite(values).all():
+            raise ValueError("entry value must be finite")
+        stack = np.repeat(self.base._a[None], len(values), axis=0)
+        stack[:, self.i - 1, self.i - 1] = values
+        return stack
 
 
 @dataclass(frozen=True)
@@ -223,17 +233,10 @@ def limit_minor_inverse(
     exact = exact_minor_inverse(ray)
     ts = _validate_schedule(schedule if schedule is not None
                             else default_schedule(ray.base))
-    values: list["np.ndarray | None"] = []
-    flags: list[bool] = []
-    for t in ts:
-        try:
-            inv, flagged = _inverse_with_guard(ray.at(t))
-        except SingularMatrixError:
-            values.append(None)
-            flags.append(True)
-            continue
-        values.append(minor(inv, ray.i, ray.i)._a)
-        flags.append(flagged)
+    inverses, usable, flags = _invert_schedule(ray, ts)
+    keep = np.delete(np.arange(ray.base.rows), ray.i - 1)
+    minors = inverses[:, keep[:, None], keep]
+    values = [m if ok else None for m, ok in zip(minors, usable)]
     estimate, report = _summarize(ts, values, flags, exact._a)
     return Matrix._wrap(np.array(estimate, dtype=np.float64)), report
 
@@ -262,25 +265,28 @@ def spectral_limit(
         exact_minor_inverse(v_ray)
     ts = _validate_schedule(schedule if schedule is not None
                             else default_schedule(v_ray.base))
-    values: list["float | None"] = []
-    flags: list[bool] = []
-    for t in ts:
-        try:
-            inv, flagged = _inverse_with_guard(v_ray.at(t))
-        except SingularMatrixError:
-            values.append(None)
-            flags.append(True)
-            continue
-        values.append(spectral_radius(matmul(f, inv)))
-        flags.append(flagged)
+    inverses, usable, flags = _invert_schedule(v_ray, ts)
+    values = [spectral_radius(matmul(f, Matrix._wrap(inv))) if ok else None
+              for inv, ok in zip(inverses, usable)]
     estimate, report = _summarize(ts, values, flags, float(target))
     return float(estimate), report
 
 
-def _inverse_with_guard(m: Matrix) -> tuple[Matrix, bool]:
-    inv = inverse(m)
-    condition = inf_norm(m) * inf_norm(inv)
-    return inv, condition > CONDITION_GUARD
+def _invert_schedule(ray: DiagonalRay, ts: tuple[float, ...]):
+    """``A(t)^-1`` at every schedule point, from one stacked call.
+
+    Returns the (len(ts), n, n) inverses, whether each point is
+    nonsingular, and each point's flag: singular, or an inf-norm
+    condition estimate above CONDITION_GUARD.
+    """
+    stack = ray.at_many(ts)
+    norms = np.abs(stack).sum(axis=2).max(axis=1)
+    inverses, column, _ = _inverse_stack(stack, SINGULARITY_RTOL * norms)
+    # the factored stack is spent; it holds |A(t)^-1| for the estimate
+    inverse_norms = np.abs(inverses, out=stack).sum(axis=2).max(axis=1)
+    usable = column == 0
+    flags = ~usable | (norms * inverse_norms > CONDITION_GUARD)
+    return inverses, usable.tolist(), flags.tolist()
 
 
 def _pair_extrapolant(t1: float, x1, t2: float, x2):

@@ -11,7 +11,7 @@ removal as a limit.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -55,12 +55,15 @@ class NGMPair:
 
     F and V must be square with matching dimension and one label per
     compartment. F must be entrywise nonnegative and V nonsingular; a
-    non-M-matrix V triggers an MMatrixWarning.
+    non-M-matrix V triggers an MMatrixWarning. ``V_inv`` keeps the
+    inverse of V computed by that check; it is not a constructor
+    argument and takes no part in ``repr`` or equality.
     """
 
     F: Matrix
     V: Matrix
     labels: tuple[str, ...]
+    V_inv: Matrix = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "labels",
@@ -76,6 +79,7 @@ class NGMPair:
         if np.any(self.F._a < 0.0):
             raise ValueError("F must be entrywise nonnegative")
         v_inv = inverse(self.V)  # raises SingularMatrixError for singular V
+        object.__setattr__(self, "V_inv", v_inv)
         if np.any(v_inv._a < -MMATRIX_TOL):
             warnings.warn(
                 "V^-1 has negative entries; V is not an M-matrix and the "
@@ -104,7 +108,7 @@ class ThresholdReport:
 
 def r0(pair: NGMPair) -> float:
     """Basic reproduction number: spectral radius of ``F V^-1``."""
-    return spectral_radius(matmul(pair.F, inverse(pair.V)))
+    return spectral_radius(matmul(pair.F, pair.V_inv))
 
 
 def remove_compartment(pair: NGMPair, i: int) -> NGMPair:

@@ -1,13 +1,77 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ngmlimit.densela import (Matrix, cofactor_det, determinant, identity,
-                              inf_norm, inverse, matmul, minor, set_entry)
+from ngmlimit.densela import (SINGULARITY_RTOL, Matrix, _inverse_stack,
+                              cofactor_det, determinant, identity, inf_norm,
+                              inverse, matmul, minor, set_entry)
 from ngmlimit.errors import SingularMatrixError
+from ngmlimit.relapse import HostParams, VectorParams, build_coupled_ngm
 
 WORKED_3X3 = Matrix([[2.0, 1.0, 0.0], [1.0, 3.0, 1.0], [0.0, 1.0, 4.0]])
+
+
+def loop_lu(a: np.ndarray, pivot_floor: float):
+    """Reference: one matrix, row-pivoted LU in a Python column loop.
+
+    Returns (lu, perm, sign), or raises SingularMatrixError carrying the
+    first pivot below the floor (or exactly zero) and its 1-based column.
+    The stacked kernel must reproduce it bit for bit.
+    """
+    n = a.shape[0]
+    lu = a.astype(np.float64, copy=True)
+    perm = np.arange(n)
+    sign = 1.0
+    for k in range(n):
+        p = k + int(np.argmax(np.abs(lu[k:, k])))
+        piv = abs(lu[p, k])
+        if piv < pivot_floor or piv == 0.0:
+            raise SingularMatrixError("singular", pivot=piv, column=k + 1)
+        if p != k:
+            lu[[k, p]] = lu[[p, k]]
+            perm[[k, p]] = perm[[p, k]]
+            sign = -sign
+        lu[k + 1:, k] /= lu[k, k]
+        lu[k + 1:, k + 1:] -= np.outer(lu[k + 1:, k], lu[k, k + 1:])
+    return lu, perm, sign
+
+
+def loop_inverse(a: np.ndarray) -> np.ndarray:
+    n = a.shape[0]
+    lu, perm, _ = loop_lu(a, SINGULARITY_RTOL * inf_norm(Matrix(a)))
+    x = np.eye(n)[perm]
+    for k in range(1, n):
+        x[k] -= lu[k, :k] @ x[:k]
+    for k in range(n - 1, -1, -1):
+        if k < n - 1:
+            x[k] -= lu[k, k + 1:] @ x[k + 1:]
+        x[k] /= lu[k, k]
+    return x
+
+
+def stack_floors(stack: np.ndarray) -> np.ndarray:
+    return SINGULARITY_RTOL * np.abs(stack).sum(axis=2).max(axis=1)
+
+
+def ladder_v_schedule(j: int, points: int = 29) -> np.ndarray:
+    """V(t) of a coupled (j, j) relapse pair over a quarter-decade
+    schedule, with species 1's last stage as the varying entry."""
+    rng = np.random.default_rng(j)
+
+    def host():
+        return HostParams(c=1.0, s_bar=1.0,
+                          alpha=tuple(rng.uniform(0.1, 3.0, j + 1)),
+                          mu=tuple(rng.uniform(0.1, 3.0, j)))
+
+    vec = VectorParams(f=1.0, c_v=1.0, s_v_bar=1.0, mu_tilde=0.7)
+    v = build_coupled_ngm(host(), host(), vec, j, j).V.to_numpy()
+    norm = float(np.abs(v).sum(axis=1).max())
+    stack = np.repeat(v[None], points, axis=0)
+    stack[:, j - 1, j - 1] = norm * 10.0 ** (1.0 + np.arange(points) / 4.0)
+    return stack
 
 
 def minor_by_index_remap(m: Matrix, i: int, j: int) -> Matrix:
@@ -178,6 +242,101 @@ def test_determinant_inverse_reciprocity():
         a = Matrix((rng.uniform(-1, 1, (n, n)) + 2.0 * np.eye(n)).tolist())
         assert determinant(inverse(a)) * determinant(a) == \
             pytest.approx(1.0, rel=1e-8)
+
+
+def test_inverse_singular_pivot_and_column_match_reference():
+    cases = [
+        [[1.0, 2.0], [2.0, 4.0]],                  # zero pivot, column 2
+        [[0.0, 0.0], [0.0, 0.0]],                  # zero pivot, column 1
+        [[0.0, 1.0], [0.0, 1.0]],                  # zero pivot, column 1
+        [[1.0, 2.0, 3.0], [4.0, 5.0, 6.0], [7.0, 8.0, 9.0]],
+        [[1.0, 1.0], [1.0, 1.0 + 1e-13]],          # below the floor
+        [[1e-300, 0.0], [0.0, 1.0]],               # tiny, not zero
+    ]
+    for rows in cases:
+        a = np.array(rows)
+        with pytest.raises(SingularMatrixError) as expected:
+            loop_lu(a, SINGULARITY_RTOL * inf_norm(Matrix(rows)))
+        with pytest.raises(SingularMatrixError) as got:
+            inverse(Matrix(rows))
+        assert got.value.pivot == expected.value.pivot
+        assert got.value.column == expected.value.column
+    with pytest.raises(SingularMatrixError,
+                       match="singular to working tolerance: zero pivot "
+                             "in column 2"):
+        inverse(Matrix([[1.0, 2.0], [2.0, 4.0]]))
+    with pytest.raises(SingularMatrixError) as below:
+        inverse(Matrix([[1.0, 1.0], [1.0, 1.0 + 1e-13]]))
+    assert str(below.value) == (
+        f"matrix is singular to working tolerance: pivot "
+        f"{below.value.pivot:.3e} in column 2 is below the singularity "
+        f"threshold 2.000e-12")
+
+
+@pytest.mark.parametrize("n", range(2, 14))
+def test_stack_members_equal_single_and_reference_bit_for_bit(n):
+    rng = np.random.default_rng(200 + n)
+    stack = rng.uniform(-1.0, 1.0, (17, n, n))
+    # some members with one dominant diagonal entry, as on a limit ray
+    stack[::3, n - 1, n - 1] = 10.0 ** rng.uniform(1.0, 9.0, 6)
+    inverses, column, _ = _inverse_stack(stack.copy(), stack_floors(stack))
+    assert not column.any()
+    for member, inv in zip(stack, inverses):
+        reference = loop_inverse(member)
+        assert np.array_equal(inverse(Matrix._wrap(member))._a, reference)
+        assert np.array_equal(inv, reference)
+        lu, _, sign = loop_lu(member, 0.0)
+        assert determinant(Matrix._wrap(member)) == float(
+            sign * np.prod(np.diag(lu)))
+
+
+@pytest.mark.parametrize("j", [20, 40])
+def test_ladder_schedule_stack_equals_single_bit_for_bit(j):
+    stack = ladder_v_schedule(j)
+    assert stack.shape[1] == 2 * j + 1
+    inverses, column, _ = _inverse_stack(stack.copy(), stack_floors(stack))
+    assert not column.any()
+    for member, inv in zip(stack, inverses):
+        assert np.array_equal(inv, inverse(Matrix._wrap(member))._a)
+
+
+def test_stack_flags_only_the_singular_member():
+    rng = np.random.default_rng(41)
+    stack = rng.uniform(-1.0, 1.0, (6, 4, 4)) + 3.0 * np.eye(4)
+    stack[3, 2] = 2.0 * stack[3, 0]           # rank-deficient member
+    stack[5, :, 0] = 0.0                      # zero first pivot column
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")        # failed members stay quiet
+        inverses, column, pivots = _inverse_stack(stack.copy(),
+                                                 stack_floors(stack))
+    assert column.tolist() == [0, 0, 0, 4, 0, 1]
+    for b in (3, 5):
+        with pytest.raises(SingularMatrixError) as single:
+            inverse(Matrix._wrap(stack[b]))
+        assert pivots[b, column[b] - 1] == single.value.pivot
+        assert column[b] == single.value.column
+        assert np.isnan(inverses[b]).all()
+    for b in (0, 1, 2, 4):
+        assert np.array_equal(inverses[b], inverse(Matrix._wrap(stack[b]))._a)
+
+
+def _parity(perm: list[int]) -> int:
+    inversions = sum(1 for x in range(len(perm))
+                     for y in range(x + 1, len(perm)) if perm[x] > perm[y])
+    return inversions % 2
+
+
+@pytest.mark.parametrize("perm", [
+    [0, 1, 2, 3], [1, 0, 2, 3], [1, 2, 0, 3], [3, 2, 1, 0],
+    [1, 2, 3, 0], [2, 3, 0, 1], [1, 0, 3, 2], [0, 3, 1, 2],
+])
+def test_determinant_sign_follows_swap_parity(perm):
+    # permutation matrices scaled by a positive diagonal: det has the
+    # sign of the permutation, so odd and even swap counts both show
+    scale = np.array([2.0, 3.0, 5.0, 7.0])
+    a = np.eye(4)[perm] * scale[:, None]
+    expected = (-1.0) ** _parity(perm) * float(np.prod(scale))
+    assert determinant(Matrix._wrap(a)) == expected
 
 
 # ---------------------------------------------------------------------------

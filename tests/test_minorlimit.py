@@ -11,6 +11,7 @@ from ngmlimit.minorlimit import (ConvergenceReport, DiagonalRay,
                                  det_affine_coeffs, exact_minor_inverse,
                                  limit_minor_inverse, richardson,
                                  row_col_decay, spectral_limit)
+from ngmlimit.eigen import spectral_radius
 
 WORKED_3X3 = Matrix([[2.0, 1.0, 0.0], [1.0, 3.0, 1.0], [0.0, 1.0, 4.0]])
 DECADES_2_8 = tuple(10.0 ** k for k in range(2, 9))
@@ -50,6 +51,19 @@ def test_ray_at_replaces_single_entry():
     assert moved.entry(2, 2) == 99.0
     assert moved.entry(1, 1) == 2.0
     assert ray.base.entry(2, 2) == 3.0  # base untouched
+
+
+def test_ray_at_many_stacks_the_members():
+    ray = DiagonalRay(WORKED_3X3, 2)
+    ts = (1.0, 10.0, 1e5)
+    stack = ray.at_many(ts)
+    assert stack.shape == (3, 3, 3)
+    for member, t in zip(stack, ts):
+        assert np.array_equal(member, ray.at(t).to_numpy())
+    stack[0, 0, 0] = 99.0                     # the caller owns the stack
+    assert ray.base == WORKED_3X3
+    with pytest.raises(ValueError, match="finite"):
+        ray.at_many((1.0, float("inf")))
 
 
 def test_report_validation():
@@ -180,6 +194,41 @@ def test_limit_skips_singular_points_and_flags_them():
     # estimate extrapolates the two clean tail points t=2, 4 of
     # x(t) = t/(t-1): (4 * (4/3) - 2 * 2) / (4 - 2) = 2/3
     assert estimate.entry(1, 1) == pytest.approx(2.0 / 3.0, rel=1e-12)
+
+
+def test_schedule_points_equal_one_matrix_inversions():
+    # the whole schedule is inverted in one stacked call; every point
+    # must still be exactly what inverting A(t) alone gives
+    rng = np.random.default_rng(37)
+    ray, exact = well_conditioned_ray(rng, 5, 2)
+    f = Matrix(rng.uniform(0.0, 1.0, (5, 5)).tolist())
+    schedule = default_schedule(ray.base, 1, 8)
+    _, report = limit_minor_inverse(ray, schedule)
+    _, spectral = spectral_limit(f, ray, schedule, target=0.0)
+    for k, t in enumerate(schedule):
+        inv = inverse(ray.at(t))
+        assert report.errors[k] == sup_gap(minor(inv, 2, 2), exact)
+        assert spectral.errors[k] == spectral_radius(matmul(f, inv))
+
+
+def test_spectral_limit_skips_singular_points_and_flags_them():
+    ray = DiagonalRay(Matrix([[0.0, 1.0], [1.0, 1.0]]), 1)
+    _, report = spectral_limit(identity(2), ray, (0.5, 1.0, 2.0, 4.0))
+    assert report.flagged == (False, True, False, False)
+    assert math.isnan(report.errors[1])
+    for k in (0, 2, 3):
+        t = report.schedule[k]
+        assert report.errors[k] == abs(
+            spectral_radius(inverse(ray.at(t))) - 1.0)
+
+
+def test_limit_flags_ill_conditioned_points_but_keeps_them():
+    # A(t) = [[t, M], [0, 1]] has unit pivots at t = 1, but its condition
+    # estimate (t + M)(1 + M)/t exceeds the guard there
+    ray = DiagonalRay(Matrix([[0.0, 1e8], [0.0, 1.0]]), 1)
+    _, report = limit_minor_inverse(ray, (1.0, 1e9, 1e10))
+    assert report.flagged == (True, False, False)
+    assert report.errors == (0.0, 0.0, 0.0)
 
 
 def test_limit_fails_when_every_point_is_singular():

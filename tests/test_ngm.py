@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ngmlimit.densela import Matrix, identity, matmul, minor
+from ngmlimit.densela import Matrix, identity, inverse, matmul, minor
 from ngmlimit.eigen import eigenvalues
 from ngmlimit.errors import SingularMatrixError
 from ngmlimit.minorlimit import (DiagonalRay, assemble_limit_inverse,
@@ -56,6 +56,32 @@ def test_mmatrix_transfer_does_not_warn():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         small_mpair()
+
+
+def test_pair_keeps_one_inverse_of_v(monkeypatch):
+    from ngmlimit import ngm
+    calls = []
+
+    def counting_inverse(m):
+        calls.append(m)
+        return inverse(m)
+
+    monkeypatch.setattr(ngm, "inverse", counting_inverse)
+    pair = small_mpair()
+    assert pair.V_inv == inverse(pair.V)
+    r0(pair)
+    dfe_threshold_check(pair)
+    assert len(calls) == 1
+    assert "V_inv" not in repr(pair)
+    with pytest.raises(TypeError):
+        NGMPair(pair.F, pair.V, pair.labels, V_inv=pair.V_inv)
+
+
+def test_pair_equality_ignores_kept_inverse():
+    pair = small_mpair()
+    other = small_mpair()
+    object.__setattr__(other, "V_inv", identity(2))
+    assert pair == other
 
 
 # ---------------------------------------------------------------------------
