@@ -209,21 +209,29 @@ def inf_norm(a: Matrix) -> float:
     return float(np.abs(a._a).sum(axis=1).max())
 
 
-def _lu_stack(lu: np.ndarray, floors: np.ndarray, scratch: np.ndarray):
+def _lu_stack(lu: np.ndarray, floors: np.ndarray, scratch: np.ndarray,
+              start: int = 0, stop: "int | None" = None,
+              perm: "np.ndarray | None" = None):
     """Row-pivoted LU factorization P A = L U of every member of a stack.
 
-    Factors the C-contiguous (B, n, n) array ``lu`` in place, packing each
+    Factors the C-contiguous (B, n, m) array ``lu`` in place, packing each
     member's unit-lower and upper factors, and uses ``scratch`` (same
     shape) for the rank-1 updates. The column loop runs once for the whole
     stack; each elementwise update is the one, in the same order, that the
     elimination of that member alone performs, so a member's factors do
     not depend on the rest of the stack.
 
+    Runs the elimination steps ``start`` up to (not including) ``stop``,
+    by default to the end; a stack that earlier steps already reduced
+    passes the flat row permutation they made as ``perm``. Columns beyond
+    the n-th (m > n) only receive the row operations: pivots and
+    multipliers come from the first n columns.
+
     Returns ``(perm, swaps, column, pivots)``:
 
     * ``perm[b * n + r]`` is the flat row (``b * n + r'``, row r' of
       member b) that pivoting moved to row r of member b;
-    * ``swaps[b]`` counts member b's row interchanges;
+    * ``swaps[b]`` counts member b's row interchanges from step ``start``;
     * ``column[b]`` is the 1-based column where member b first met a
       pivot below ``floors[b]`` (or exactly zero), 0 if it never did;
     * ``pivots[b, k]`` is the magnitude of member b's pivot in column
@@ -233,14 +241,15 @@ def _lu_stack(lu: np.ndarray, floors: np.ndarray, scratch: np.ndarray):
     later factors mean nothing; callers silence the arithmetic warnings
     that raises.
     """
-    count, n, _ = lu.shape
-    rows = lu.reshape(count * n, n)
-    perm = np.arange(count * n)
+    count, n, width = lu.shape
+    rows = lu.reshape(count * n, width)
+    if perm is None:
+        perm = np.arange(count * n)
     starts = np.arange(0, count * n, n)
     diagonal = lu.diagonal(0, 1, 2)[:, :, None]
     flips = []
     # the last column has one candidate pivot and nothing left to update
-    for k in range(n - 1):
+    for k in range(start, n - 1 if stop is None else stop):
         below = np.abs(lu[:, k:, k]).argmax(axis=1)
         if np.count_nonzero(below):
             # swap the flat rows k and k + below of every member (a row
@@ -267,21 +276,47 @@ def _lu_stack(lu: np.ndarray, floors: np.ndarray, scratch: np.ndarray):
     return perm, swaps, column, pivots
 
 
-def _inverse_stack(a: np.ndarray, floors: np.ndarray):
+def _shared_prefix(a: np.ndarray, varying: int) -> np.ndarray:
+    """The first ``varying`` elimination steps of a stack whose members
+    differ only in column ``varying`` (0-based), run once for the whole
+    stack.
+
+    Those steps choose their pivots and multipliers from earlier columns
+    alone, so they are the same for every member; column ``varying``
+    only receives their row swaps and updates. One member bordered by
+    every member's copy of that column is therefore eliminated once, and
+    ``a`` is overwritten by the result: each member exactly as its own
+    elimination leaves it after those steps. Returns the flat row
+    permutation for :func:`_lu_stack` to continue from.
+    """
+    count, n, _ = a.shape
+    wide = np.concatenate((a[0], a[:, :, varying].T), axis=1)[None]
+    perm, _, _, _ = _lu_stack(wide, np.zeros(1), np.empty_like(wide),
+                              stop=varying)
+    a[:] = wide[:, :, :n]
+    a[:, :, varying] = wide[0, :, n:].T
+    return (np.arange(0, count * n, n)[:, None] + perm).ravel()
+
+
+def _inverse_stack(a: np.ndarray, floors: np.ndarray, varying: int = 0):
     """Inverse of every member of a C-contiguous (B, n, n) stack.
 
     ``a`` is overwritten by its LU factors; the inverse buffer doubles as
     the factorization's scratch, so no third stack is allocated.
-    ``floors[b]`` is member b's pivot floor. Returns
-    ``(inverses, column, pivots)`` with ``column`` and ``pivots`` as
-    reported by :func:`_lu_stack`; a member with a nonzero column comes
-    back as NaN.
+    ``floors[b]`` is member b's pivot floor. When the members differ only
+    in column ``varying`` (0-based), as the points of a diagonal ray do,
+    the elimination steps before it run once (:func:`_shared_prefix`).
+    Returns ``(inverses, column, pivots)`` with ``column`` and ``pivots``
+    as reported by :func:`_lu_stack`; a member with a nonzero column
+    comes back as NaN.
     """
     count, n, _ = a.shape
     inv = np.empty_like(a)
     diagonal = a.diagonal(0, 1, 2)[:, :, None]
     with np.errstate(all="ignore"):
-        perm, _, column, pivots = _lu_stack(a, floors, inv)
+        perm = _shared_prefix(a, varying) if varying else None
+        perm, _, column, pivots = _lu_stack(a, floors, inv, start=varying,
+                                            perm=perm)
         # P applied to the identity, then forward and back substitution
         inv.fill(0.0)
         inv.reshape(count * n, n)[np.arange(count * n), perm % n] = 1.0

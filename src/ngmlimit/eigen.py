@@ -71,17 +71,29 @@ def eigenvalues(a: Matrix) -> Spectrum:
     converge within its sweep cap.
     """
     _require_square(a, "eigenvalues")
+    return Spectrum(_canonical_values(_eigvals(a._a)))
+
+
+def _eigvals(a: np.ndarray) -> np.ndarray:
+    """Raw eigenvalues of a square array or of every member of a stack."""
     try:
-        raw = np.linalg.eigvals(a._a)
+        return np.linalg.eigvals(a)
     except np.linalg.LinAlgError as exc:
         raise ConvergenceError(
             f"eigenvalue iteration did not converge: {exc}") from exc
-    return Spectrum(_canonical_values(raw))
 
 
 def spectral_radius(a: Matrix) -> float:
     """Maximum eigenvalue modulus; 0 for the zero matrix."""
     return max(abs(v) for v in eigenvalues(a).values)
+
+
+def _spectral_radii(stack: np.ndarray) -> list[float]:
+    """:func:`spectral_radius` of every member of a finite (B, n, n)
+    stack, from one eigenvalue call; each member's values are
+    canonicalised as :func:`eigenvalues` does."""
+    return [max(abs(v) for v in _canonical_values(raw))
+            for raw in _eigvals(stack)]
 
 
 def spectral_abscissa(a: Matrix) -> float:

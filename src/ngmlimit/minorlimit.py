@@ -24,9 +24,10 @@ from typing import Sequence
 
 import numpy as np
 
-from .densela import (SINGULARITY_RTOL, Matrix, _inverse_stack, determinant,
-                      inf_norm, inverse, matmul, minor, set_entry)
-from .eigen import spectral_radius
+from .densela import (SINGULARITY_RTOL, Matrix, _inverse_stack,
+                      _require_finite, determinant, inf_norm, inverse,
+                      matmul, minor, set_entry)
+from .eigen import _spectral_radii, spectral_radius
 from .errors import ConvergenceError, SingularMatrixError
 
 __all__ = [
@@ -212,10 +213,26 @@ def row_col_decay(ray: DiagonalRay, t: float) -> tuple[float, float]:
 
     Both maxima (diagonal entry included) decay like O(1/t).
     """
-    inv = inverse(ray.at(t))._a
-    row_max = float(np.abs(inv[ray.i - 1, :]).max())
-    col_max = float(np.abs(inv[:, ray.i - 1]).max())
-    return row_max, col_max
+    return _row_col_maxima(ray, (t,))[0]
+
+
+def _row_col_maxima(ray: DiagonalRay,
+                    ts: Sequence[float]) -> list[tuple[float, float]]:
+    """:func:`row_col_decay` at every t, from one stacked inversion.
+
+    Raises the SingularMatrixError that ``inverse(ray.at(t))`` raises
+    for the first singular t.
+    """
+    inverses, usable, _ = _invert_schedule(ray, ts)
+    for t, ok in zip(ts, usable):
+        if not ok:
+            # inverting that point alone raises the error to report
+            inverse(ray.at(t))
+    _require_finite(inverses)
+    c = ray.i - 1
+    row_max = np.abs(inverses[:, c, :]).max(axis=1).tolist()
+    col_max = np.abs(inverses[:, :, c]).max(axis=1).tolist()
+    return list(zip(row_max, col_max))
 
 
 def limit_minor_inverse(
@@ -266,13 +283,18 @@ def spectral_limit(
     ts = _validate_schedule(schedule if schedule is not None
                             else default_schedule(v_ray.base))
     inverses, usable, flags = _invert_schedule(v_ray, ts)
-    values = [spectral_radius(matmul(f, Matrix._wrap(inv))) if ok else None
-              for inv, ok in zip(inverses, usable)]
+    # rebinding frees the full stack, so at most two stacks are alive
+    inverses = inverses[usable]
+    _require_finite(inverses)
+    products = np.matmul(f._a, inverses)
+    _require_finite(products)
+    radii = iter(_spectral_radii(products))
+    values = [next(radii) if ok else None for ok in usable]
     estimate, report = _summarize(ts, values, flags, float(target))
     return float(estimate), report
 
 
-def _invert_schedule(ray: DiagonalRay, ts: tuple[float, ...]):
+def _invert_schedule(ray: DiagonalRay, ts: Sequence[float]):
     """``A(t)^-1`` at every schedule point, from one stacked call.
 
     Returns the (len(ts), n, n) inverses, whether each point is
@@ -281,7 +303,8 @@ def _invert_schedule(ray: DiagonalRay, ts: tuple[float, ...]):
     """
     stack = ray.at_many(ts)
     norms = np.abs(stack).sum(axis=2).max(axis=1)
-    inverses, column, _ = _inverse_stack(stack, SINGULARITY_RTOL * norms)
+    inverses, column, _ = _inverse_stack(stack, SINGULARITY_RTOL * norms,
+                                         ray.i - 1)
     # the factored stack is spent; it holds |A(t)^-1| for the estimate
     inverse_norms = np.abs(inverses, out=stack).sum(axis=2).max(axis=1)
     usable = column == 0

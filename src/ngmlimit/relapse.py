@@ -310,5 +310,6 @@ def relapse_limit_experiment(
             final_extrapolated_error=_last_finite(
                 report.extrapolated_errors),
         ))
-        pair = remove_compartment(pair, stage)
+        if stage - 1 > k_final:
+            pair = remove_compartment(pair, stage)
     return tuple(steps)

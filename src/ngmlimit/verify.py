@@ -17,7 +17,7 @@ from .errors import SingularMatrixError
 from .minorlimit import (DiagonalRay, assemble_limit_inverse,
                          default_schedule, det_affine_coeffs,
                          exact_minor_inverse, limit_minor_inverse,
-                         row_col_decay, spectral_limit)
+                         _row_col_maxima, spectral_limit)
 from .ngm import NGMPair, dfe_threshold_check, r0, remove_compartment
 from .relapse import (HostParams, VectorParams, build_coupled_ngm,
                       build_uncoupled_ngm, r0_coupled_closed,
@@ -236,14 +236,11 @@ def check_row_col_decay(seed: int = 42, count: int = 200) -> CriterionResult:
     cases = 0
     for m, i, _exact in limit_corpus(rng, count):
         cases += 1
-        ray = DiagonalRay(m, i)
         norm = inf_norm(m)
-        t0 = 100.0 * norm
-        row0, col0 = row_col_decay(ray, t0)
-        c_row, c_col = row0 * t0, col0 * t0
-        for k in range(3, 9):
-            t = norm * 10.0 ** k
-            row_max, col_max = row_col_decay(ray, t)
+        ts = [100.0 * norm] + [norm * 10.0 ** k for k in range(3, 9)]
+        (row0, col0), *later = _row_col_maxima(DiagonalRay(m, i), ts)
+        c_row, c_col = row0 * ts[0], col0 * ts[0]
+        for t, (row_max, col_max) in zip(ts[1:], later):
             worst = max(worst, row_max * t / (2.0 * c_row),
                         col_max * t / (2.0 * c_col))
     return CriterionResult(

@@ -320,6 +320,83 @@ def test_stack_flags_only_the_singular_member():
         assert np.array_equal(inverses[b], inverse(Matrix._wrap(stack[b]))._a)
 
 
+def ray_stack(base: np.ndarray, c: int, ts) -> np.ndarray:
+    """Members of a ray: ``base`` with its (c, c) entry (0-based) set to
+    each t, stacked as DiagonalRay.at_many stacks them."""
+    stack = np.repeat(base[None], len(ts), axis=0)
+    stack[:, c, c] = ts
+    return stack
+
+
+@pytest.mark.parametrize("n", range(2, 14))
+def test_ray_stack_shared_prefix_equals_reference_bit_for_bit(n):
+    # the steps before column c run once for the whole ray; every member
+    # must still be exactly its own elimination, at every c
+    rng = np.random.default_rng(500 + n)
+    base = rng.uniform(-1.0, 1.0, (n, n))
+    # small t values keep row swaps in the columns after c as well
+    ts = np.concatenate((rng.uniform(-2.0, 2.0, 5),
+                         10.0 ** rng.uniform(0.0, 9.0, 6)))
+    for c in range(n):
+        stack = ray_stack(base, c, ts)
+        inverses, column, _ = _inverse_stack(stack.copy(),
+                                             stack_floors(stack), c)
+        assert not column.any()
+        for member, inv in zip(stack, inverses):
+            assert np.array_equal(inv, loop_inverse(member))
+
+
+@pytest.mark.parametrize("j", [20, 40])
+def test_ladder_ray_shared_prefix_equals_reference_bit_for_bit(j):
+    stack = ladder_v_schedule(j)
+    inverses, column, _ = _inverse_stack(stack.copy(), stack_floors(stack),
+                                         j - 1)
+    assert not column.any()
+    for member, inv in zip(stack, inverses):
+        assert np.array_equal(inv, loop_inverse(member))
+
+
+def test_zero_pivot_in_shared_prefix_flags_every_member():
+    # columns 1 and 2 are exactly dependent (dyadic multipliers), so the
+    # pivot of column 2 is exactly zero before the varying column 4
+    base = np.array([[1.0, 2.0, 0.5, 1.0],
+                     [2.0, 4.0, 1.0, 0.0],
+                     [3.0, 6.0, 0.0, 1.0],
+                     [4.0, 8.0, 1.0, 2.0]])
+    stack = ray_stack(base, 3, [0.5, 3.0, 1e6])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        inverses, column, pivots = _inverse_stack(stack.copy(),
+                                                 stack_floors(stack), 3)
+    assert column.tolist() == [2, 2, 2]
+    assert np.isnan(inverses).all()
+    for member, piv in zip(stack, pivots):
+        with pytest.raises(SingularMatrixError) as reference:
+            loop_lu(member, SINGULARITY_RTOL * inf_norm(Matrix(member)))
+        assert reference.value.column == 2
+        assert piv[1] == reference.value.pivot == 0.0
+
+
+def test_member_singular_at_its_own_t_is_the_only_one_flagged():
+    # the leading 3x3 block has determinant t - 2: at t = 2 the pivot of
+    # column 3 is exactly zero, after the shared step; t = 0.5 swaps rows
+    base = np.array([[1.0, 1.0, 0.0, 0.0],
+                     [1.0, 0.0, 1.0, 0.0],
+                     [0.0, 1.0, 1.0, 0.0],
+                     [0.0, 0.0, 0.0, 1.0]])
+    ts = [0.5, 2.0, 3.0, 100.0]
+    stack = ray_stack(base, 1, ts)
+    inverses, column, pivots = _inverse_stack(stack.copy(),
+                                             stack_floors(stack), 1)
+    assert column.tolist() == [0, 3, 0, 0]
+    with pytest.raises(SingularMatrixError) as single:
+        inverse(Matrix._wrap(stack[1]))
+    assert pivots[1, 2] == single.value.pivot == 0.0
+    assert np.isnan(inverses[1]).all()
+    for b in (0, 2, 3):
+        assert np.array_equal(inverses[b], loop_inverse(stack[b]))
+
+
 def _parity(perm: list[int]) -> int:
     inversions = sum(1 for x in range(len(perm))
                      for y in range(x + 1, len(perm)) if perm[x] > perm[y])

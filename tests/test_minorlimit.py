@@ -10,8 +10,10 @@ from ngmlimit.minorlimit import (ConvergenceReport, DiagonalRay,
                                  assemble_limit_inverse, default_schedule,
                                  det_affine_coeffs, exact_minor_inverse,
                                  limit_minor_inverse, richardson,
-                                 row_col_decay, spectral_limit)
+                                 row_col_decay, spectral_limit,
+                                 _row_col_maxima)
 from ngmlimit.eigen import spectral_radius
+from ngmlimit.relapse import HostParams, VectorParams, build_coupled_ngm
 
 WORKED_3X3 = Matrix([[2.0, 1.0, 0.0], [1.0, 3.0, 1.0], [0.0, 1.0, 4.0]])
 DECADES_2_8 = tuple(10.0 ** k for k in range(2, 9))
@@ -209,6 +211,79 @@ def test_schedule_points_equal_one_matrix_inversions():
         inv = inverse(ray.at(t))
         assert report.errors[k] == sup_gap(minor(inv, 2, 2), exact)
         assert spectral.errors[k] == spectral_radius(matmul(f, inv))
+
+
+def relapse_ray_case(j: int):
+    """F and the V ray of a coupled (j, j) relapse pair, species 1's
+    last stage varying, as the removal experiment drives it."""
+    rng = np.random.default_rng(j)
+
+    def host():
+        return HostParams(c=float(rng.uniform(0.1, 3.0)), s_bar=1.0,
+                          alpha=tuple(rng.uniform(0.1, 3.0, j + 1)),
+                          mu=tuple(rng.uniform(0.1, 3.0, j)))
+
+    vec = VectorParams(f=1.5, c_v=1.0, s_v_bar=1.0, mu_tilde=0.7)
+    pair = build_coupled_ngm(host(), host(), vec, j, j)
+    return pair.F, DiagonalRay(pair.V, j)
+
+
+def random_ray_case(n: int):
+    """A dense F with entries of both signs, so F A(t)^-1 has complex
+    conjugate pairs and the pairing check has work to do."""
+    rng = np.random.default_rng(n)
+    ray, _ = well_conditioned_ray(rng, n, n // 2)
+    return Matrix._wrap(rng.uniform(-1.0, 1.0, (n, n))), ray
+
+
+@pytest.mark.parametrize("f, ray", [relapse_ray_case(3),
+                                    relapse_ray_case(10),
+                                    random_ray_case(6),
+                                    random_ray_case(9)])
+def test_stacked_radii_equal_one_matrix_spectral_radii(f, ray):
+    schedule = tuple(inf_norm(ray.base) * 10.0 ** (q / 4.0)
+                     for q in range(29))
+    _, report = spectral_limit(f, ray, schedule, target=0.0)
+    expected = tuple(spectral_radius(matmul(f, inverse(ray.at(t))))
+                     for t in schedule)
+    assert report.errors == expected
+
+
+def test_random_ray_cases_have_complex_spectra():
+    for n in (6, 9):
+        f, ray = random_ray_case(n)
+        values = np.linalg.eigvals(matmul(f, inverse(ray.at(1e3)))._a)
+        assert np.count_nonzero(values.imag) >= 2
+
+
+def test_row_col_maxima_equal_one_matrix_decays():
+    rng = np.random.default_rng(43)
+    for n in range(2, 8):
+        for i in range(1, n + 1):
+            ray, _ = well_conditioned_ray(rng, n, i)
+            norm = inf_norm(ray.base)
+            ts = [100.0 * norm] + [norm * 10.0 ** k for k in range(3, 9)]
+            expected = []
+            for t in ts:
+                inv = inverse(ray.at(t))._a
+                expected.append((float(np.abs(inv[i - 1, :]).max()),
+                                 float(np.abs(inv[:, i - 1]).max())))
+            assert _row_col_maxima(ray, ts) == expected
+
+
+def test_row_col_maxima_raise_the_first_singular_points_error():
+    # A(t) = [[t, 1], [1, 1]] is singular exactly at t = 1; 1 + 1e-13
+    # leaves a pivot below the floor instead of an exact zero
+    ray = DiagonalRay(Matrix([[0.0, 1.0], [1.0, 1.0]]), 1)
+    for ts, bad in (((0.5, 1.0, 2.0), 1.0),
+                    ((0.5, 1.0 + 1e-13, 1.0 + 2e-13), 1.0 + 1e-13)):
+        with pytest.raises(SingularMatrixError) as single:
+            inverse(ray.at(bad))
+        with pytest.raises(SingularMatrixError) as stacked:
+            _row_col_maxima(ray, ts)
+        assert str(stacked.value) == str(single.value)
+        assert stacked.value.pivot == single.value.pivot
+        assert stacked.value.column == single.value.column
 
 
 def test_spectral_limit_skips_singular_points_and_flags_them():

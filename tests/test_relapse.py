@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ngmlimit import relapse
 from ngmlimit.densela import Matrix
-from ngmlimit.ngm import r0
+from ngmlimit.ngm import r0, remove_compartment
 from ngmlimit.relapse import (HostParams, R0Result, VectorParams,
                               build_coupled_ngm, build_uncoupled_ngm,
                               r0_coupled_closed, r0_uncoupled_closed,
@@ -247,6 +248,25 @@ def test_experiment_single_step_two_stages():
     assert step.target == r0_coupled_closed(host1, host2, vec, 1, 2).value
     assert step.final_error <= 1e-6
     assert step.final_extrapolated_error <= 1e-8
+
+
+@pytest.mark.parametrize("j, k_final, removals", [(2, 1, 0), (5, 4, 0),
+                                                  (4, 1, 2)])
+def test_experiment_removes_no_compartment_after_the_last_step(
+        monkeypatch, j, k_final, removals):
+    calls = []
+
+    def counting(pair, i):
+        calls.append(i)
+        return remove_compartment(pair, i)
+
+    monkeypatch.setattr(relapse, "remove_compartment", counting)
+    rng = np.random.default_rng(64)
+    host1, host2 = random_host(rng, j), random_host(rng, j)
+    steps = relapse_limit_experiment(host1, host2, random_vector(rng), j,
+                                     k_final=k_final)
+    assert len(steps) == j - k_final
+    assert calls == list(range(j, j - removals, -1))
 
 
 def test_experiment_rejects_single_stage_system():
