@@ -262,10 +262,13 @@ def _lu_stack(lu: np.ndarray, floors: np.ndarray, scratch: np.ndarray,
             perm[to] = perm[fro]
             flips.append(below)
         lu[:, k + 1:, k] /= diagonal[:, k]
-        update = scratch[:, k + 1:, k + 1:]
-        np.multiply(lu[:, k + 1:, k, None], lu[:, k, None, k + 1:],
-                    out=update)
-        lu[:, k + 1:, k + 1:] -= update
+        # a row of U that is zero in every member leaves the trailing
+        # block as it is: x - l * 0 is x up to the sign of a zero
+        if np.count_nonzero(lu[:, k, k + 1:]):
+            update = scratch[:, k + 1:, k + 1:]
+            np.multiply(lu[:, k + 1:, k, None], lu[:, k, None, k + 1:],
+                        out=update)
+            lu[:, k + 1:, k + 1:] -= update
     swaps = (np.count_nonzero(flips, axis=0) if flips
              else np.zeros(count, dtype=np.intp))
     # The pivots end up on the diagonal. Raising a zero floor to the
@@ -276,7 +279,7 @@ def _lu_stack(lu: np.ndarray, floors: np.ndarray, scratch: np.ndarray,
     return perm, swaps, column, pivots
 
 
-def _shared_prefix(a: np.ndarray, varying: int) -> np.ndarray:
+def _shared_prefix(a: np.ndarray, varying: int) -> tuple[np.ndarray, int]:
     """The first ``varying`` elimination steps of a stack whose members
     differ only in column ``varying`` (0-based), run once for the whole
     stack.
@@ -287,15 +290,17 @@ def _shared_prefix(a: np.ndarray, varying: int) -> np.ndarray:
     every member's copy of that column is therefore eliminated once, and
     ``a`` is overwritten by the result: each member exactly as its own
     elimination leaves it after those steps. Returns the flat row
-    permutation for :func:`_lu_stack` to continue from.
+    permutation for :func:`_lu_stack` to continue from and the number of
+    row interchanges the steps made, which every member shares.
     """
     count, n, _ = a.shape
     wide = np.concatenate((a[0], a[:, :, varying].T), axis=1)[None]
-    perm, _, _, _ = _lu_stack(wide, np.zeros(1), np.empty_like(wide),
-                              stop=varying)
+    perm, swaps, _, _ = _lu_stack(wide, np.zeros(1), np.empty_like(wide),
+                                  stop=varying)
     a[:] = wide[:, :, :n]
     a[:, :, varying] = wide[0, :, n:].T
-    return (np.arange(0, count * n, n)[:, None] + perm).ravel()
+    flat = (np.arange(0, count * n, n)[:, None] + perm).ravel()
+    return flat, int(swaps[0])
 
 
 def _inverse_stack(a: np.ndarray, floors: np.ndarray, varying: int = 0):
@@ -314,16 +319,25 @@ def _inverse_stack(a: np.ndarray, floors: np.ndarray, varying: int = 0):
     inv = np.empty_like(a)
     diagonal = a.diagonal(0, 1, 2)[:, :, None]
     with np.errstate(all="ignore"):
-        perm = _shared_prefix(a, varying) if varying else None
+        perm, _ = _shared_prefix(a, varying) if varying else (None, 0)
         perm, _, column, pivots = _lu_stack(a, floors, inv, start=varying,
                                             perm=perm)
         # P applied to the identity, then forward and back substitution
         inv.fill(0.0)
         inv.reshape(count * n, n)[np.arange(count * n), perm % n] = 1.0
-        for k in range(1, n):
-            inv[:, k:k + 1] -= np.matmul(a[:, k:k + 1, :k], inv[:, :k])
+        # A row of L or U that is zero in every member is skipped. The
+        # value it would be subtracted from is a forward value, which
+        # starts at +0 or 1 and never becomes -0, so subtracting a sum of
+        # zero products would leave it as it is. seen[k, c] counts the
+        # columns up to c where row k is nonzero in some member.
+        seen = (a != 0.0).any(axis=0).cumsum(axis=1)
+        lower = (seen.diagonal(-1) > 0).tolist()
+        upper = (seen[:, -1] > seen.diagonal()).tolist()
+        for k, nonzero in enumerate(lower, 1):
+            if nonzero:
+                inv[:, k:k + 1] -= np.matmul(a[:, k:k + 1, :k], inv[:, :k])
         for k in range(n - 1, -1, -1):
-            if k < n - 1:
+            if upper[k]:
                 inv[:, k:k + 1] -= np.matmul(a[:, k:k + 1, k + 1:],
                                              inv[:, k + 1:])
             inv[:, k] /= diagonal[:, k]
@@ -338,13 +352,24 @@ def determinant(a: Matrix) -> float:
     Returns 0.0 when elimination meets an exactly zero pivot column.
     """
     _require_square(a, "determinant")
-    lu = a._a[None].copy()
+    return _determinant_stack(a._a[None].copy())[0]
+
+
+def _determinant_stack(a: np.ndarray, varying: int = 0) -> list[float]:
+    """:func:`determinant` of every member of a C-contiguous (B, n, n)
+    stack, which is overwritten by its LU factors. When the members
+    differ only in column ``varying`` (0-based), the elimination steps
+    before it run once (:func:`_shared_prefix`) and their row swaps
+    count towards every member's sign.
+    """
     with np.errstate(all="ignore"):
-        _, swaps, column, _ = _lu_stack(lu, np.zeros(1), np.empty_like(lu))
-    if column[0]:
-        return 0.0
-    sign = -1.0 if swaps[0] % 2 else 1.0
-    return float(sign * np.prod(np.diag(lu[0])))
+        perm, swaps = _shared_prefix(a, varying) if varying else (None, 0)
+        _, more, column, _ = _lu_stack(a, np.zeros(len(a)),
+                                       np.empty_like(a), start=varying,
+                                       perm=perm)
+    return [0.0 if c else
+            float((-1.0 if s % 2 else 1.0) * np.prod(np.diag(lu)))
+            for lu, s, c in zip(a, (swaps + more).tolist(), column.tolist())]
 
 
 def cofactor_det(a: Matrix) -> float:

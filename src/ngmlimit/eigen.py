@@ -40,7 +40,11 @@ class Spectrum:
         return iter(self.values)
 
 
-def _canonical_values(raw) -> tuple[complex, ...]:
+def _canonical_values(raw: np.ndarray) -> tuple[complex, ...]:
+    if raw.dtype.kind == "f":
+        # every value is real: ordering by (real, 0.0) is a stable sort,
+        # which keeps -0.0 and +0.0 in the order they came in
+        return tuple(map(complex, sorted(raw.tolist())))
     vals = [complex(v) for v in raw]
     # classification is scale-invariant: snap relative to each modulus
     vals = [complex(v.real, 0.0) if abs(v.imag) <= PAIRING_TOL * abs(v)
@@ -90,10 +94,27 @@ def spectral_radius(a: Matrix) -> float:
 
 def _spectral_radii(stack: np.ndarray) -> list[float]:
     """:func:`spectral_radius` of every member of a finite (B, n, n)
-    stack, from one eigenvalue call; each member's values are
-    canonicalised as :func:`eigenvalues` does."""
-    return [max(abs(v) for v in _canonical_values(raw))
-            for raw in _eigvals(stack)]
+    stack, from one eigenvalue call.
+
+    The values are snapped to the real axis as :func:`eigenvalues` snaps
+    them, for the whole stack at once. A member whose upper half-plane
+    values are exactly the conjugates of its lower ones, as LAPACK
+    returns complex pairs, is closed under conjugation; any other member
+    goes through the member-wise pairing, which raises the same
+    ConvergenceError. Moduli are taken with ``np.hypot``, which is what
+    ``abs`` of a Python complex computes; ``np.abs`` of a complex array
+    may differ from it in the last bit.
+    """
+    raw = _eigvals(stack)
+    values = raw.astype(complex)
+    real, imag = values.real, values.imag
+    imag[np.abs(imag) <= PAIRING_TOL * np.hypot(real, imag)] = 0.0
+    upper = np.where(imag > 0.0, values, np.inf)
+    lower = np.where(imag < 0.0, values.conj(), np.inf)
+    closed = (np.sort(upper, axis=1) == np.sort(lower, axis=1)).all(axis=1)
+    for b in np.flatnonzero(~closed).tolist():
+        _canonical_values(raw[b])
+    return np.hypot(real, imag).max(axis=1).tolist()
 
 
 def spectral_abscissa(a: Matrix) -> float:

@@ -5,10 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ngmlimit.densela import (SINGULARITY_RTOL, Matrix, _inverse_stack,
-                              cofactor_det, determinant, identity, inf_norm,
-                              inverse, matmul, minor, set_entry)
+from ngmlimit.densela import (SINGULARITY_RTOL, Matrix, _determinant_stack,
+                              _inverse_stack, cofactor_det, determinant,
+                              identity, inf_norm, inverse, matmul, minor,
+                              set_entry)
 from ngmlimit.errors import SingularMatrixError
+from ngmlimit.minorlimit import DiagonalRay
 from ngmlimit.relapse import HostParams, VectorParams, build_coupled_ngm
 
 WORKED_3X3 = Matrix([[2.0, 1.0, 0.0], [1.0, 3.0, 1.0], [0.0, 1.0, 4.0]])
@@ -395,6 +397,155 @@ def test_member_singular_at_its_own_t_is_the_only_one_flagged():
     assert np.isnan(inverses[1]).all()
     for b in (0, 2, 3):
         assert np.array_equal(inverses[b], loop_inverse(stack[b]))
+
+
+# ---------------------------------------------------------------------------
+# null work: rows of L or U that are zero in every member are skipped
+
+def same_bits(x: np.ndarray, y: np.ndarray) -> bool:
+    """Equal to the bit, the sign of every zero included."""
+    return x.shape == y.shape and x.tobytes() == y.tobytes()
+
+
+def triangular_stacks(n: int, rng) -> dict:
+    """Stacks whose U (lower) or L (upper) is diagonal, with and without
+    -0.0 in place of their zeros."""
+    lower = np.tril(rng.uniform(-1.0, 1.0, (5, n, n))) + 3.0 * np.eye(n)
+    upper = np.triu(rng.uniform(-1.0, 1.0, (5, n, n))) + 3.0 * np.eye(n)
+    signed = lower.copy()
+    rows, cols = np.triu_indices(n, 1)
+    signed[:, rows, cols] = -0.0
+    signed[:, n - 1, :n - 1:2] = -0.0        # and some below the diagonal
+    return {"lower": lower, "upper": upper, "signed": signed}
+
+
+def assert_members_equal_reference(stack, inverses, column):
+    assert not column.any()
+    for member, inv in zip(stack, inverses):
+        assert same_bits(inv, loop_inverse(member))
+
+
+@pytest.mark.parametrize("n", range(1, 10))
+def test_triangular_stacks_equal_reference_bit_for_bit(n):
+    for stack in triangular_stacks(n, np.random.default_rng(700 + n)).values():
+        inverses, column, _ = _inverse_stack(stack.copy(), stack_floors(stack))
+        assert_members_equal_reference(stack, inverses, column)
+        for member in stack:
+            # the skipped updates may flip the sign of a zero factor only
+            lu = member[None].copy()
+            _inverse_stack(lu, stack_floors(lu))
+            assert np.array_equal(lu[0], loop_lu(member, 0.0)[0])
+
+
+@pytest.mark.parametrize("n", range(2, 10))
+def test_triangular_rays_equal_reference_bit_for_bit_at_every_i(n):
+    ts = [0.25, -3.0, 7.0, 1e6]
+    stacks = triangular_stacks(n, np.random.default_rng(800 + n))
+    for base in (stacks["lower"][0], stacks["upper"][0], stacks["signed"][0]):
+        for c in range(n):
+            stack = ray_stack(base, c, ts)
+            inverses, column, _ = _inverse_stack(stack.copy(),
+                                                 stack_floors(stack), c)
+            assert_members_equal_reference(stack, inverses, column)
+
+
+@pytest.mark.parametrize("j", [1, 3, 20, 40])
+def test_relapse_v_equals_reference_bit_for_bit(j):
+    # V is lower bidiagonal: every update and back substitution is skipped
+    stack = ladder_v_schedule(j)
+    for varying in (0, j - 1):
+        inverses, column, _ = _inverse_stack(stack.copy(),
+                                             stack_floors(stack), varying)
+        assert_members_equal_reference(stack, inverses, column)
+    v = stack[0]
+    assert same_bits(inverse(Matrix._wrap(v))._a, loop_inverse(v))
+
+
+def test_zero_rows_of_some_members_skip_nothing():
+    # one triangular member among dense ones: no row is zero in every
+    # member, so nothing is skipped and every member is its own elimination
+    rng = np.random.default_rng(71)
+    for n in (3, 6, 9):
+        stacks = triangular_stacks(n, rng)
+        dense = rng.uniform(-1.0, 1.0, (4, n, n))
+        for member in (stacks["lower"][0], stacks["upper"][0],
+                       stacks["signed"][0]):
+            stack = np.concatenate((dense[:2], member[None], dense[2:]))
+            inverses, column, _ = _inverse_stack(stack.copy(),
+                                                 stack_floors(stack))
+            assert_members_equal_reference(stack, inverses, column)
+
+
+def test_failed_member_inside_a_skipped_region():
+    # lower triangular members: every update is skipped. Member 1 has an
+    # exact zero pivot in column 3 (0 / 0 multipliers), member 3 one below
+    # the floor in column 2; the rest must not notice.
+    rng = np.random.default_rng(72)
+    stack = np.tril(rng.uniform(-1.0, 1.0, (5, 5, 5))) + 3.0 * np.eye(5)
+    stack[1, 2, 2] = 0.0
+    stack[1, 3:, 2] = 0.0
+    stack[3, 1:, 1] = [1e-14, 0.0, 0.0, 0.0]
+    floors = stack_floors(stack)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        inverses, column, pivots = _inverse_stack(stack.copy(), floors)
+    assert column.tolist() == [0, 3, 0, 2, 0]
+    for b in (1, 3):
+        with pytest.raises(SingularMatrixError) as reference:
+            loop_lu(stack[b], floors[b])
+        with pytest.raises(SingularMatrixError) as single:
+            inverse(Matrix._wrap(stack[b]))
+        assert column[b] == reference.value.column == single.value.column
+        assert (pivots[b, column[b] - 1] == reference.value.pivot
+                == single.value.pivot)
+        assert np.isnan(inverses[b]).all()
+    for b in (0, 2, 4):
+        assert same_bits(inverses[b], loop_inverse(stack[b]))
+
+
+def ray_determinant_cases():
+    rng = np.random.default_rng(73)
+    for n in range(2, 8):
+        yield rng.uniform(-1.0, 1.0, (n, n))
+        yield np.tril(rng.uniform(-1.0, 1.0, (n, n))) + np.eye(n)
+    # scaled permutations: the shared prefix swaps rows an odd or an even
+    # number of times
+    for perm in ([1, 0, 2, 3], [1, 2, 3, 0], [3, 2, 1, 0], [2, 0, 1, 3]):
+        yield np.eye(4)[perm] * np.array([2.0, 3.0, 5.0, 7.0])[:, None]
+    # column 1 is exactly zero: every member meets a zero pivot column
+    zero_column = rng.uniform(-1.0, 1.0, (4, 4))
+    zero_column[:, 0] = 0.0
+    yield zero_column
+
+
+def test_ray_determinants_equal_one_matrix_determinants():
+    ts = (-10.0, 0.0, 7.0, 1.0e3, 1.0, 0.0, 2.0)
+    for base in ray_determinant_cases():
+        m = Matrix._wrap(base)
+        for i in range(1, m.rows + 1):
+            stack = DiagonalRay(m, i).at_many(ts)
+            got = _determinant_stack(stack.copy(), i - 1)
+            expected = [determinant(DiagonalRay(m, i).at(t)) for t in ts]
+            assert [float(g).hex() for g in got] == \
+                [float(e).hex() for e in expected]
+            for member, det in zip(stack, got):
+                try:
+                    lu, _, sign = loop_lu(member, 0.0)
+                except SingularMatrixError:
+                    assert det == 0.0
+                else:
+                    assert det == float(sign * np.prod(np.diag(lu)))
+
+
+def test_ray_determinant_is_zero_where_the_member_is_singular():
+    # the leading 3x3 block has determinant t - 2 (see the inverse test
+    # above): only the member at t = 2 meets a zero pivot column
+    base = np.array([[1.0, 1.0, 0.0, 0.0],
+                     [1.0, 0.0, 1.0, 0.0],
+                     [0.0, 1.0, 1.0, 0.0],
+                     [0.0, 0.0, 0.0, 1.0]])
+    got = _determinant_stack(ray_stack(base, 1, [0.5, 2.0, 3.0]), 1)
+    assert got == [-1.5, 0.0, 1.0]
 
 
 def _parity(perm: list[int]) -> int:

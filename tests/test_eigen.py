@@ -1,11 +1,14 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ngmlimit import eigen
 from ngmlimit.densela import Matrix, identity, inf_norm
-from ngmlimit.eigen import (Spectrum, eigenvalues, spectral_abscissa,
-                            spectral_radius)
+from ngmlimit.eigen import (Spectrum, _canonical_values, _spectral_radii,
+                            eigenvalues, spectral_abscissa, spectral_radius)
 from ngmlimit.errors import ConvergenceError
 
 
@@ -139,3 +142,95 @@ def test_spectrum_is_a_value_container():
     spec = Spectrum((1.0 + 0.0j, 2.0 + 0.0j))
     assert len(spec) == 2
     assert list(spec) == [1.0 + 0.0j, 2.0 + 0.0j]
+
+
+# ---------------------------------------------------------------------------
+# stacked spectral radii and the real-valued fast path
+
+def per_member_radii(raw: np.ndarray) -> list[float]:
+    """Reference: the member-by-member canonicalisation, complex path."""
+    return [max(abs(v) for v in _canonical_values(member.astype(complex)))
+            for member in raw]
+
+
+def radii_of_raw(monkeypatch, raw: np.ndarray) -> list[float]:
+    """_spectral_radii with the eigenvalue call replaced by ``raw``."""
+    monkeypatch.setattr(eigen, "_eigvals", lambda stack: raw)
+    return _spectral_radii(np.zeros((len(raw), raw.shape[1],
+                                     raw.shape[1])))
+
+
+def test_stacked_radii_equal_per_member_radii_on_lapack_spectra():
+    rng = np.random.default_rng(90)
+    for n in (1, 2, 3, 7, 12):
+        stack = rng.uniform(-1.0, 1.0, (9, n, n))
+        stack[::4] = stack[::4] + stack[::4].transpose(0, 2, 1)  # real
+        raw = np.linalg.eigvals(stack)
+        assert _spectral_radii(stack) == per_member_radii(raw)
+        symmetric = stack + stack.transpose(0, 2, 1)
+        assert np.linalg.eigvals(symmetric).dtype.kind == "f"
+        assert _spectral_radii(symmetric) == per_member_radii(
+            np.linalg.eigvals(symmetric))
+
+
+def test_stacked_radii_snap_and_pair_like_the_member_path(monkeypatch):
+    raw = np.array([
+        # an exact pair and a near-real value that snaps
+        [3.0 + 4.0j, 3.0 - 4.0j, -5.0 + 1e-9j],
+        # an inexact pair within tolerance: the member-wise pairing accepts
+        [1.0 + 1.0j, 1.0 + 1e-10 - 1.0j, 0.5 + 0.0j],
+        # real values only, with tied -0.0 and +0.0
+        [-0.0 + 0.0j, 0.0 + 0.0j, -2.0 + 0.0j],
+        # a pair of near-real values, each snapped
+        [7.0 + 1e-8j, 7.0 - 1e-8j, 1.0 + 0.0j],
+    ])
+    paired = []
+
+    def spy(member):
+        paired.append(member.tolist())
+        return _canonical_values(member)
+
+    monkeypatch.setattr(eigen, "_canonical_values", spy)
+    got = radii_of_raw(monkeypatch, raw)
+    # only the inexact pair is left to the member-wise pairing
+    assert paired == [raw[1].tolist()]
+    assert got == per_member_radii(raw)
+    assert got[0] == 5.0 and got[2] == 2.0
+
+
+@pytest.mark.parametrize("bad", [
+    [1.0 + 1.0j, 1.0 - 1.1j, 0.0 + 0.0j],     # partner outside tolerance
+    [1.0 + 1.0j, 2.0 + 0.0j, 0.0 + 0.0j],     # no partner at all
+    [1.0 - 1.0j, 2.0 - 1.0j, 0.0 + 0.0j],     # unmatched lower values
+])
+def test_stacked_radii_raise_the_member_error(monkeypatch, bad):
+    good = [3.0 + 4.0j, 3.0 - 4.0j, 1.0 + 0.0j]
+    worse = [5.0 + 5.0j, 0.0 + 0.0j, 0.0 + 0.0j]
+    raw = np.array([good, bad, worse])
+    with pytest.raises(ConvergenceError) as reference:
+        per_member_radii(raw)
+    with pytest.raises(ConvergenceError) as got:
+        radii_of_raw(monkeypatch, raw)
+    # the first failing member's message, not the last one's
+    assert str(got.value) == str(reference.value)
+
+
+def test_real_values_keep_the_order_of_signed_zero_ties():
+    raw = np.array([0.0, -0.0, 1.0, -0.0, -3.0, 0.0, -1.0])
+    got = _canonical_values(raw)
+    reference = _canonical_values(raw.astype(complex))
+    assert repr(got) == repr(reference)
+    assert [math.copysign(1.0, v.real) for v in got if v == 0.0] == \
+        [1.0, -1.0, -1.0, 1.0]
+    assert all(math.copysign(1.0, v.imag) == 1.0 for v in got)
+
+
+def test_eigenvalues_of_real_spectra_equal_the_complex_path():
+    rng = np.random.default_rng(91)
+    for n in (1, 2, 5, 9):
+        a = rng.uniform(-1.0, 1.0, (n, n))
+        a = a + a.T
+        raw = np.linalg.eigvals(a)
+        assert raw.dtype.kind == "f"
+        assert repr(eigenvalues(Matrix._wrap(a)).values) == \
+            repr(_canonical_values(raw.astype(complex)))
