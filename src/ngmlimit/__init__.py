@@ -4,7 +4,7 @@ numbers for relapsing vector-borne disease models."""
 from .densela import (Matrix, cofactor_det, determinant, identity, inf_norm,
                       inverse, matmul, minor, set_entry)
 from .eigen import Spectrum, eigenvalues, spectral_abscissa, spectral_radius
-from .errors import ConvergenceError, SingularMatrixError
+from .errors import ConfigError, ConvergenceError, SingularMatrixError
 from .minorlimit import (ConvergenceReport, DiagonalRay,
                          assemble_limit_inverse, default_schedule,
                          det_affine_coeffs, exact_minor_inverse,
@@ -24,7 +24,7 @@ __all__ = [
     "Matrix", "minor", "determinant", "cofactor_det", "inverse", "matmul",
     "identity", "inf_norm", "set_entry",
     "Spectrum", "eigenvalues", "spectral_radius", "spectral_abscissa",
-    "SingularMatrixError", "ConvergenceError",
+    "SingularMatrixError", "ConvergenceError", "ConfigError",
     "DiagonalRay", "ConvergenceReport", "default_schedule",
     "det_affine_coeffs", "exact_minor_inverse", "limit_minor_inverse",
     "row_col_decay", "richardson", "assemble_limit_inverse",

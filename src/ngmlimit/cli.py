@@ -11,12 +11,13 @@ import json
 import math
 import sys
 from contextlib import contextmanager
+from dataclasses import fields
 
 import click
 
 from .densela import Matrix, matmul
 from .eigen import eigenvalues
-from .errors import ConvergenceError, SingularMatrixError
+from .errors import ConfigError, ConvergenceError, SingularMatrixError
 from .minorlimit import ConvergenceReport, DiagonalRay, limit_minor_inverse
 from .ngm import NGMPair, r0, r0_removal_limit
 from .relapse import (HostParams, VectorParams, build_coupled_ngm,
@@ -29,14 +30,6 @@ EXIT_CONFIG_ERROR = 2
 EXIT_NUMERICAL_ERROR = 3
 
 _FAULT_MAGNITUDE = 1e-3
-
-
-class ConfigError(Exception):
-    """A config field is missing, mistyped or out of range."""
-
-    def __init__(self, field: str, message: str):
-        self.field = field
-        super().__init__(f"{field}: {message}")
 
 
 # ---------------------------------------------------------------------------
@@ -110,6 +103,11 @@ def _error_exits():
 
 # ---------------------------------------------------------------------------
 # config parsing
+#
+# The CLI checks only what the JSON alone shows: objects and arrays,
+# missing keys, model.kind and the --schedule string. Every other rule is
+# the library's: its constructors are called through _built, and the
+# limit functions check the schedule, naming it by its config key.
 
 def _load_config(path: str) -> dict:
     if path == "-":
@@ -137,51 +135,32 @@ def _require(obj: dict, key: str, path: str):
     return obj[key]
 
 
-def _positive_number(value, field: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(field, f"must be a number, got {value!r}")
-    v = float(value)
-    if not math.isfinite(v) or v <= 0.0:
-        raise ConfigError(field, f"must be strictly positive, got {value!r}")
-    return v
+def _built(path: str, make, *args, **keys):
+    """``make(*args)``, with a ValueError it raises re-raised as a
+    ConfigError at the config key that fed the rejected input.
+
+    A library ConfigError names its input, index included (``alpha[0]``,
+    ``i``, ``schedule[1]``). ``keys`` maps such a name to its config key;
+    any other name is a member of the object at ``path``. A ValueError
+    that names no input is charged to ``path``.
+    """
+    try:
+        return make(*args)
+    except ConfigError as exc:
+        name, bracket, index = exc.field.partition("[")
+        key = keys.get(name, f"{path}.{name}")
+        raise ConfigError(key + bracket + index, exc.reason) from None
+    except ValueError as exc:
+        raise ConfigError(path, str(exc)) from None
 
 
-def _positive_array(value, field: str) -> tuple[float, ...]:
-    if not isinstance(value, list) or not value:
-        raise ConfigError(field, "must be a nonempty array of rates")
-    return tuple(_positive_number(v, f"{field}[{k}]")
-                 for k, v in enumerate(value))
-
-
-def _parse_host(obj, path: str) -> HostParams:
+def _parse_params(cls, model: dict, key: str):
+    """The HostParams or VectorParams at ``model.<key>``."""
+    obj, path = _require(model, key, "model"), f"model.{key}"
     if not isinstance(obj, dict):
         raise ConfigError(path, "must be an object")
-    host = HostParams(
-        c=_positive_number(_require(obj, "c", path), f"{path}.c"),
-        s_bar=_positive_number(_require(obj, "s_bar", path),
-                               f"{path}.s_bar"),
-        alpha=_positive_array(_require(obj, "alpha", path), f"{path}.alpha"),
-        mu=_positive_array(_require(obj, "mu", path), f"{path}.mu"),
-    )
-    if len(host.alpha) != len(host.mu) + 1:
-        raise ConfigError(f"{path}.alpha",
-                          f"must hold exactly one more rate than "
-                          f"{path}.mu, got {len(host.alpha)} vs "
-                          f"{len(host.mu)}")
-    return host
-
-
-def _parse_vector(obj, path: str) -> VectorParams:
-    if not isinstance(obj, dict):
-        raise ConfigError(path, "must be an object")
-    return VectorParams(
-        f=_positive_number(_require(obj, "f", path), f"{path}.f"),
-        c_v=_positive_number(_require(obj, "c_v", path), f"{path}.c_v"),
-        s_v_bar=_positive_number(_require(obj, "s_v_bar", path),
-                                 f"{path}.s_v_bar"),
-        mu_tilde=_positive_number(_require(obj, "mu_tilde", path),
-                                  f"{path}.mu_tilde"),
-    )
+    return _built(path, cls, *(_require(obj, field.name, path)
+                               for field in fields(cls)))
 
 
 def _parse_model(cfg: dict) -> tuple[NGMPair, float]:
@@ -190,15 +169,15 @@ def _parse_model(cfg: dict) -> tuple[NGMPair, float]:
     if not isinstance(model, dict):
         raise ConfigError("model", "must be an object")
     kind = _require(model, "kind", "model")
-    vec = _parse_vector(_require(model, "vector", "model"), "model.vector")
+    vec = _parse_params(VectorParams, model, "vector")
     if kind == "uncoupled":
-        host = _parse_host(_require(model, "host", "model"), "model.host")
+        host = _parse_params(HostParams, model, "host")
         j = host.stages
         return (build_uncoupled_ngm(host, vec, j),
                 r0_uncoupled_closed(host, vec, j).value)
     if kind == "coupled":
-        host1 = _parse_host(_require(model, "host1", "model"), "model.host1")
-        host2 = _parse_host(_require(model, "host2", "model"), "model.host2")
+        host1 = _parse_params(HostParams, model, "host1")
+        host2 = _parse_params(HostParams, model, "host2")
         j, k = host1.stages, host2.stages
         return (build_coupled_ngm(host1, host2, vec, j, k),
                 r0_coupled_closed(host1, host2, vec, j, k).value)
@@ -209,46 +188,23 @@ def _parse_model(cfg: dict) -> tuple[NGMPair, float]:
 def _parse_matrix(value, field: str) -> Matrix:
     if not isinstance(value, list):
         raise ConfigError(field, "must be an array of rows")
-    try:
-        return Matrix(value)
-    except ValueError as exc:
-        raise ConfigError(field, str(exc))
-
-
-def _parse_index(value, field: str, upper: int) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(field, f"must be an integer, got {value!r}")
-    if not 1 <= value <= upper:
-        raise ConfigError(field, f"must be in 1..{upper}, got {value}")
-    return value
-
-
-def _parse_schedule(values, field: str) -> tuple[float, ...]:
-    ts = []
-    for k, v in enumerate(values):
-        ts.append(_positive_number(v, f"{field}[{k}]"))
-    if not ts:
-        raise ConfigError(field, "must be nonempty")
-    for a, b in zip(ts, ts[1:]):
-        if not b > a:
-            raise ConfigError(field, "must be strictly increasing")
-    return tuple(ts)
+    return _built(field, Matrix, value)
 
 
 def _schedule_from(cfg: dict, flag: "str | None"):
+    """The raw schedule of the flag or the config, or None; the limit
+    functions check its values."""
     if flag is not None:
         try:
-            raw = [float(part) for part in flag.split(",") if part.strip()]
+            return [float(part) for part in flag.split(",") if part.strip()]
         except ValueError:
             raise ConfigError("schedule",
                               f"--schedule must be comma-separated numbers, "
-                              f"got {flag!r}")
-        return _parse_schedule(raw, "schedule")
+                              f"got {flag!r}") from None
     if "schedule" in cfg:
-        raw = cfg["schedule"]
-        if not isinstance(raw, list):
+        if not isinstance(cfg["schedule"], list):
             raise ConfigError("schedule", "must be an array of numbers")
-        return _parse_schedule(raw, "schedule")
+        return cfg["schedule"]
     return None
 
 
@@ -263,10 +219,7 @@ def _parse_raw_pair(obj, path: str) -> NGMPair:
     if (not isinstance(labels, list)
             or not all(isinstance(name, str) for name in labels)):
         raise ConfigError(f"{path}.labels", "must be an array of strings")
-    try:
-        return NGMPair(f, v, tuple(labels))
-    except ValueError as exc:
-        raise ConfigError(path, str(exc))
+    return _built(path, NGMPair, f, v, tuple(labels))
 
 
 # ---------------------------------------------------------------------------
@@ -372,16 +325,14 @@ def sweep(config_path, schedule_flag, out, fmt):
         schedule = _schedule_from(cfg, schedule_flag)
         if "matrix" in cfg:
             base = _parse_matrix(cfg["matrix"], "matrix")
-            if base.rows != base.cols:
-                raise ConfigError("matrix", "must be square")
-            i = _parse_index(_require(cfg, "index", "config"), "index",
-                             base.rows)
-            _, report = limit_minor_inverse(DiagonalRay(base, i), schedule)
+            ray = _built("matrix", DiagonalRay, base,
+                         _require(cfg, "index", "config"), i="index")
+            _, report = limit_minor_inverse(ray, schedule)
         elif "model" in cfg:
             pair, _closed = _parse_model(cfg)
-            stage = _parse_index(_require(cfg, "remove_stage", "config"),
-                                 "remove_stage", pair.dim)
-            report = r0_removal_limit(pair, stage, schedule=schedule)
+            report = _built("remove_stage", r0_removal_limit, pair,
+                            _require(cfg, "remove_stage", "config"),
+                            schedule, i="remove_stage", schedule="schedule")
         else:
             raise ConfigError("config",
                               'needs a "matrix" or "model" section')

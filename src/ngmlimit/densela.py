@@ -6,11 +6,13 @@ operation returns a fresh matrix and never mutates its inputs.
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+import math
+import numbers
+from collections.abc import Iterable, Sequence
 
 import numpy as np
 
-from .errors import SingularMatrixError
+from .errors import ConfigError, SingularMatrixError
 
 __all__ = [
     "Matrix",
@@ -50,7 +52,7 @@ class Matrix:
         try:
             data = [[float(v) for v in row] for row in rows]
             a = np.array(data, dtype=np.float64)
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise ValueError(f"matrix rows must be equal-length sequences "
                              f"of numbers: {exc}") from None
         if a.ndim != 2 or a.shape[0] == 0 or a.shape[1] == 0:
@@ -156,11 +158,50 @@ def _require_square(a: Matrix, what: str) -> None:
                          f"got {a.rows}x{a.cols}")
 
 
+# Input checks. Each raises ConfigError (a ValueError) naming the input.
+
 def _check_index(name: str, value: int, upper: int) -> None:
+    """``value`` must be a 1-based integer index, at most ``upper``."""
     if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
+        raise ConfigError(name, f"must be an integer, got {value!r}")
     if not 1 <= value <= upper:
-        raise ValueError(f"{name} must be in 1..{upper}, got {value}")
+        raise ConfigError(name, f"must be in 1..{upper}, got {value}")
+
+
+def _check_positive(name: str, value, index: "int | None" = None) -> float:
+    """``value`` as a float, if it is a finite real number above zero.
+
+    bool and str are refused although ``float`` takes them, and so is
+    an integer too large for a float. A member of a sequence is named
+    ``name[index]``; the name is put together only when raising, as this
+    runs on every rate of every HostParams.
+    """
+    if value.__class__ is not float:
+        if isinstance(value, bool) or not isinstance(value, numbers.Real):
+            raise ConfigError(_member(name, index),
+                              f"must be a number, got {value!r}")
+        try:
+            value = float(value)
+        except OverflowError:
+            raise ConfigError(_member(name, index),
+                              "must be finite, got an integer beyond "
+                              "the float range") from None
+    if not 0.0 < value < math.inf:
+        raise ConfigError(_member(name, index),
+                          f"must be positive and finite, got {value!r}")
+    return value
+
+
+def _check_rates(name: str, values) -> tuple[float, ...]:
+    """``values`` as a tuple of floats, each checked by _check_positive."""
+    if isinstance(values, (str, bytes)) or not isinstance(values, Iterable):
+        raise ConfigError(name, f"must be a sequence of rates, "
+                                f"got {values!r}")
+    return tuple([_check_positive(name, v, k) for k, v in enumerate(values)])
+
+
+def _member(name: str, index: "int | None") -> str:
+    return name if index is None else f"{name}[{index}]"
 
 
 def identity(n: int) -> Matrix:

@@ -1,4 +1,4 @@
-"""Exception types shared by the numerical modules."""
+"""Exception types shared by the numerical modules and the CLI."""
 
 from __future__ import annotations
 
@@ -21,3 +21,17 @@ class SingularMatrixError(ArithmeticError):
 
 class ConvergenceError(RuntimeError):
     """An iterative or limit computation failed to converge."""
+
+
+class ConfigError(ValueError):
+    """An input field is missing, mistyped or out of range.
+
+    Attributes:
+        field: The rejected input, index included (``alpha[0]``).
+        reason: What is wrong with it.
+    """
+
+    def __init__(self, field: str, reason: str):
+        super().__init__(f"{field}: {reason}")
+        self.field = field
+        self.reason = reason

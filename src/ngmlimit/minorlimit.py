@@ -24,11 +24,12 @@ from typing import Sequence
 
 import numpy as np
 
-from .densela import (SINGULARITY_RTOL, Matrix, _inverse_stack,
-                      _require_finite, determinant, inf_norm, inverse,
-                      matmul, minor, set_entry)
+from .densela import (SINGULARITY_RTOL, Matrix, _check_index,
+                      _check_positive, _inverse_stack, _require_finite,
+                      determinant, inf_norm, inverse, matmul, minor,
+                      set_entry)
 from .eigen import _spectral_radii, spectral_radius
-from .errors import ConvergenceError, SingularMatrixError
+from .errors import ConfigError, ConvergenceError, SingularMatrixError
 
 __all__ = [
     "CONDITION_GUARD",
@@ -71,9 +72,7 @@ class DiagonalRay:
                              f"{self.base.rows}x{self.base.cols}")
         if self.base.rows < 2:
             raise ValueError("ray base must be at least 2x2")
-        if not 1 <= self.i <= self.base.rows:
-            raise ValueError(f"diagonal index must be in "
-                             f"1..{self.base.rows}, got {self.i}")
+        _check_index("i", self.i, self.base.rows)
 
     def at(self, t: float) -> Matrix:
         """The family member with diagonal entry (i, i) set to ``t``."""
@@ -127,14 +126,15 @@ class ConvergenceReport:
 
 
 def _validate_schedule(schedule: Sequence[float]) -> tuple[float, ...]:
-    ts = tuple(float(t) for t in schedule)
+    """The schedule as a tuple of floats: nonempty, each value positive
+    and finite, strictly increasing."""
+    ts = tuple([_check_positive("schedule", t, k)
+                for k, t in enumerate(schedule)])
     if not ts:
-        raise ValueError("schedule must be nonempty")
-    if ts[0] <= 0.0:
-        raise ValueError("schedule values must be positive")
+        raise ConfigError("schedule", "must be nonempty")
     for a, b in zip(ts, ts[1:]):
         if not b > a:
-            raise ValueError("schedule must be strictly increasing")
+            raise ConfigError("schedule", "must be strictly increasing")
     return ts
 
 
@@ -191,7 +191,7 @@ def richardson(x_t: Matrix, x_2t: Matrix, ratio: float = 2.0) -> Matrix:
                          f"{x_t.shape} and {x_2t.shape}")
     if not ratio > 1.0:
         raise ValueError("ratio must exceed 1")
-    return Matrix._wrap((ratio * x_2t._a - x_t._a) / (ratio - 1.0))
+    return Matrix._wrap(_pair_extrapolant(1.0, x_t._a, ratio, x_2t._a))
 
 
 def assemble_limit_inverse(ray: DiagonalRay) -> Matrix:

@@ -16,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .densela import Matrix, inverse, matmul, minor
+from .densela import Matrix, _check_index, inverse, matmul, minor
 from .eigen import spectral_abscissa, spectral_radius
 from .minorlimit import ConvergenceReport, DiagonalRay, spectral_limit
 
@@ -115,9 +115,7 @@ def remove_compartment(pair: NGMPair, i: int) -> NGMPair:
     """Drop compartment i (1-based): take (i, i) minors of F and V."""
     if pair.dim < 2:
         raise ValueError("cannot remove the only compartment")
-    if not 1 <= i <= pair.dim:
-        raise ValueError(f"compartment index must be in 1..{pair.dim}, "
-                         f"got {i}")
+    _check_index("i", i, pair.dim)
     labels = pair.labels[:i - 1] + pair.labels[i:]
     return NGMPair(minor(pair.F, i, i), minor(pair.V, i, i), labels)
 

@@ -19,11 +19,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import ClassVar, Sequence
 
 import numpy as np
 
-from .densela import Matrix
+from .densela import Matrix, _check_positive, _check_rates
+from .errors import ConfigError
 from .minorlimit import ConvergenceReport, default_schedule
 from .ngm import NGMPair, r0_removal_limit, remove_compartment
 
@@ -39,20 +40,13 @@ __all__ = [
     "relapse_limit_experiment",
 ]
 
-_METHODS = ("closed_form", "spectral", "limit")
-
-
-def _require_positive(name: str, value: float) -> float:
-    v = float(value)
-    if not math.isfinite(v) or v <= 0.0:
-        raise ValueError(f"{name} must be strictly positive and finite, "
-                         f"got {value!r}")
-    return v
-
-
 @dataclass(frozen=True)
 class HostParams:
     """One host species' transmission parameters.
+
+    Every field is stored as a float, or a tuple of floats, that is
+    positive and finite; anything else raises ConfigError naming the
+    field (``alpha[0]``, by position in the tuple).
 
     Attributes:
         c: Host competence / contact factor.
@@ -60,7 +54,7 @@ class HostParams:
         alpha: Stage-exit rates alpha_0..alpha_j (length j + 1); alpha_0
             weights the inflow from the vector, alpha_l is the rate of
             leaving infected stage l.
-        mu: Stage removal rates mu_1..mu_j (length j).
+        mu: Stage removal rates mu_1..mu_j (length j >= 1).
     """
 
     c: float
@@ -69,18 +63,17 @@ class HostParams:
     mu: tuple[float, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "alpha", tuple(
-            _require_positive(f"alpha[{k}]", v)
-            for k, v in enumerate(self.alpha)))
-        object.__setattr__(self, "mu", tuple(
-            _require_positive(f"mu[{k + 1}]", v)
-            for k, v in enumerate(self.mu)))
-        _require_positive("c", self.c)
-        _require_positive("s_bar", self.s_bar)
+        object.__setattr__(self, "c", _check_positive("c", self.c))
+        object.__setattr__(self, "s_bar",
+                           _check_positive("s_bar", self.s_bar))
+        object.__setattr__(self, "alpha", _check_rates("alpha", self.alpha))
+        object.__setattr__(self, "mu", _check_rates("mu", self.mu))
+        if not self.mu:
+            raise ConfigError("mu", "needs at least one stage")
         if len(self.alpha) != len(self.mu) + 1:
-            raise ValueError(
-                f"alpha must hold one more rate than mu, got "
-                f"{len(self.alpha)} and {len(self.mu)}")
+            raise ConfigError(
+                "alpha", f"must hold one more rate than mu, got "
+                         f"{len(self.alpha)} and {len(self.mu)}")
 
     @property
     def stages(self) -> int:
@@ -99,7 +92,8 @@ class HostParams:
 @dataclass(frozen=True)
 class VectorParams:
     """The vector species' parameters: biting rate f, competence c_v,
-    equilibrium susceptible density s_v_bar, mortality mu_tilde."""
+    equilibrium susceptible density s_v_bar, mortality mu_tilde. Each
+    is stored as a positive finite float, as in HostParams."""
 
     f: float
     c_v: float
@@ -107,31 +101,24 @@ class VectorParams:
     mu_tilde: float
 
     def __post_init__(self):
-        _require_positive("f", self.f)
-        _require_positive("c_v", self.c_v)
-        _require_positive("s_v_bar", self.s_v_bar)
-        _require_positive("mu_tilde", self.mu_tilde)
+        for name in ("f", "c_v", "s_v_bar", "mu_tilde"):
+            object.__setattr__(self, name,
+                               _check_positive(name, getattr(self, name)))
 
 
 @dataclass(frozen=True)
 class R0Result:
-    """A reproduction number with the route that produced it."""
+    """A reproduction number from its closed form."""
 
     value: float
-    method: str
-    detail: "ConvergenceReport | None" = None
+    method: ClassVar[str] = "closed_form"
 
     def __post_init__(self):
-        if self.method not in _METHODS:
-            raise ValueError(f"method must be one of {_METHODS}, "
-                             f"got {self.method!r}")
         if not self.value >= 0.0:
             raise ValueError(f"r0 must be nonnegative, got {self.value}")
 
 
 def _require_stage_count(host: HostParams, j: int, who: str) -> None:
-    if j < 1:
-        raise ValueError(f"{who} needs at least one stage, got j={j}")
     if host.stages != j:
         raise ValueError(
             f"{who} has {host.stages} stages in its parameters but "
@@ -154,8 +141,7 @@ def r0_uncoupled_closed(host: HostParams, vec: VectorParams,
         total += running
     prefactor = (host.c * vec.c_v * vec.s_v_bar
                  / (vec.mu_tilde * host.s_bar))
-    return R0Result(value=vec.f * math.sqrt(prefactor * total),
-                    method="closed_form")
+    return R0Result(vec.f * math.sqrt(prefactor * total))
 
 
 def _chain_blocks(host: HostParams, j: int) -> np.ndarray:
@@ -216,26 +202,16 @@ def build_coupled_ngm(host1: HostParams, host2: HostParams,
     return NGMPair(Matrix._wrap(f), Matrix._wrap(v), labels)
 
 
-def r0_coupled_closed(host1: "HostParams | None", host2: HostParams,
+def r0_coupled_closed(host1: HostParams, host2: HostParams,
                       vec: VectorParams, k: int, j: int) -> R0Result:
     """Closed-form coupled reproduction number, combined in quadrature.
 
     Species 1 contributes its k-stage value and species 2 its j-stage
-    value; parameter chains longer than requested are truncated. Passing
-    ``host1=None`` treats the first species as absent (contribution 0).
+    value; parameter chains longer than requested are truncated.
     """
-    if host1 is None:
-        part1 = 0.0
-    else:
-        if host1.stages < k:
-            raise ValueError(f"host1 supports {host1.stages} stages, "
-                             f"k={k} requested")
-        part1 = r0_uncoupled_closed(host1.truncated(k), vec, k).value
-    if host2.stages < j:
-        raise ValueError(f"host2 supports {host2.stages} stages, "
-                         f"j={j} requested")
+    part1 = r0_uncoupled_closed(host1.truncated(k), vec, k).value
     part2 = r0_uncoupled_closed(host2.truncated(j), vec, j).value
-    return R0Result(value=math.hypot(part1, part2), method="closed_form")
+    return R0Result(math.hypot(part1, part2))
 
 
 @dataclass(frozen=True)
@@ -285,9 +261,6 @@ def relapse_limit_experiment(
     if j < 2:
         raise ValueError("the removal experiment needs j >= 2 so a stage "
                          "can be removed")
-    if host1.stages < j or host2.stages < j:
-        raise ValueError(f"both hosts must support j={j} stages, got "
-                         f"{host1.stages} and {host2.stages}")
     if k_final is None:
         k_final = j - 1
     if not 1 <= k_final <= j - 1:

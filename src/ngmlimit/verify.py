@@ -238,8 +238,7 @@ def check_row_col_decay(seed: int = 42, count: int = 200) -> CriterionResult:
     cases = 0
     for m, i, _exact in limit_corpus(rng, count):
         cases += 1
-        norm = inf_norm(m)
-        ts = [100.0 * norm] + [norm * 10.0 ** k for k in range(3, 9)]
+        ts = (100.0 * inf_norm(m),) + default_schedule(m, 3, 8)
         (row0, col0), *later = _row_col_maxima(DiagonalRay(m, i), ts)
         c_row, c_col = row0 * ts[0], col0 * ts[0]
         for t, (row_max, col_max) in zip(ts[1:], later):
@@ -269,17 +268,16 @@ def check_spectral_radius_limit(seed: int = 42,
         pair = random_mmatrix_pair(rng, n)
         i = int(rng.integers(1, n + 1))
         cases += 1
+        ray = DiagonalRay(pair.V, i)
         schedule = default_schedule(pair.V, 1, 8)
-        _, report = spectral_limit(pair.F, DiagonalRay(pair.V, i), schedule)
+        _, report = spectral_limit(pair.F, ray, schedule)
         worst = max(worst, report.errors[-1])
 
         # spectrum identity: F * (limit of V(t)^-1) adds one zero
         # eigenvalue to the reduced product's spectrum
-        assembled = densela.matmul(
-            pair.F, assemble_limit_inverse(DiagonalRay(pair.V, i)))
-        reduced = densela.matmul(
-            densela.minor(pair.F, i, i),
-            exact_minor_inverse(DiagonalRay(pair.V, i)))
+        assembled = densela.matmul(pair.F, assemble_limit_inverse(ray))
+        reduced = densela.matmul(densela.minor(pair.F, i, i),
+                                 exact_minor_inverse(ray))
         full_spec = sorted(eigenvalues(assembled).values,
                            key=lambda v: (v.real, v.imag))
         reduced_spec = sorted(list(eigenvalues(reduced).values) + [0.0 + 0.0j],

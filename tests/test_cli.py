@@ -93,6 +93,56 @@ def test_r0_negative_rate_exits_2_and_names_field():
     assert "model.host.alpha[0]" in result.stderr
 
 
+def _edited(base, path, value):
+    cfg = json.loads(json.dumps(base))
+    *parents, last = path
+    node = cfg
+    for key in parents:
+        node = node[key]
+    node[last] = value
+    return json.dumps(cfg)
+
+
+HOST = ("model", "host")
+
+
+@pytest.mark.parametrize("command, stdin, key", [
+    ("r0", _edited(UNIT_UNCOUPLED, HOST + ("alpha",), [2.0, 1.0, 1.0]),
+     "model.host.alpha"),
+    ("sweep", _edited(WORKED_SWEEP, ("matrix",), [[2.0]]), "matrix"),
+    ("sweep", _edited(WORKED_SWEEP, ("matrix",), [[2, 1], [1, 10 ** 400]]),
+     "matrix"),
+    ("sweep", _edited(WORKED_SWEEP, ("index",), 1.5), "index"),
+    ("sweep", _edited(WORKED_SWEEP, ("index",), True), "index"),
+    ("r0", _edited(UNIT_UNCOUPLED, HOST + ("c",), True), "model.host.c"),
+    ("r0", _edited(UNIT_UNCOUPLED, HOST + ("c",), 10 ** 400),
+     "model.host.c"),
+    ("r0", _edited(UNIT_UNCOUPLED, HOST + ("alpha",), "12"),
+     "model.host.alpha"),
+    ("r0", _edited(UNIT_UNCOUPLED, HOST + ("alpha",), 3),
+     "model.host.alpha"),
+    ("r0", _edited(UNIT_UNCOUPLED, HOST + ("mu",), []), "model.host.mu"),
+    ("sweep", _edited(WORKED_SWEEP, ("schedule",), [5.0, 4.0]), "schedule"),
+    ("sweep", _edited(WORKED_SWEEP, ("schedule",), [1.0, 2.0])
+     .replace("2.0]", "1e400]"), "schedule[1]"),
+], ids=["alpha-mu-lengths", "1x1-matrix", "matrix-overflow", "index-1.5", "index-true",
+        "c-true", "c-overflow", "alpha-string", "alpha-number", "mu-empty",
+        "schedule-decreasing", "schedule-overflow"])
+def test_malformed_config_exits_2_at_its_key(command, stdin, key):
+    result = invoke([command, "--config", "-"], stdin=stdin)
+    assert result.exit_code == 2
+    assert f"config error: {key}: " in result.stderr
+    assert "Traceback" not in result.output
+
+
+def test_sweep_remove_stage_out_of_range_exits_2():
+    cfg = json.loads(_edited(UNIT_UNCOUPLED, HOST + ("c",), 1.0))
+    cfg["remove_stage"] = 3
+    result = invoke(["sweep", "--config", "-"], stdin=json.dumps(cfg))
+    assert result.exit_code == 2
+    assert "config error: remove_stage: must be in 1..2" in result.stderr
+
+
 def test_r0_missing_section_exits_2():
     result = invoke(["r0", "--config", "-"], stdin="{}")
     assert result.exit_code == 2

@@ -5,7 +5,7 @@ import pytest
 
 from ngmlimit.densela import (Matrix, identity, inf_norm, inverse, matmul,
                               minor, determinant)
-from ngmlimit.errors import ConvergenceError, SingularMatrixError
+from ngmlimit.errors import ConfigError, ConvergenceError, SingularMatrixError
 from ngmlimit.minorlimit import (ConvergenceReport, DiagonalRay,
                                  assemble_limit_inverse, default_schedule,
                                  det_affine_coeffs, exact_minor_inverse,
@@ -45,6 +45,10 @@ def test_ray_validation():
         DiagonalRay(Matrix([[1.0]]), 1)
     with pytest.raises(ValueError):
         DiagonalRay(identity(3), 4)
+    for bad in (1.5, True, "2"):
+        with pytest.raises(ConfigError) as info:
+            DiagonalRay(identity(3), bad)
+        assert info.value.field == "i"
 
 
 def test_ray_at_replaces_single_entry():
@@ -320,6 +324,9 @@ def test_limit_rejects_bad_schedules():
         limit_minor_inverse(ray, (-1.0, 2.0))
     with pytest.raises(ValueError):
         limit_minor_inverse(ray, ())
+    for bad in ((1.0, math.inf), (1.0, math.nan), (True, 2.0), ("1", 2.0)):
+        with pytest.raises(ConfigError, match=r"^schedule\["):
+            limit_minor_inverse(ray, bad)
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from ngmlimit.densela import Matrix, identity, inverse, matmul, minor
 from ngmlimit.eigen import eigenvalues
-from ngmlimit.errors import SingularMatrixError
+from ngmlimit.errors import ConfigError, SingularMatrixError
 from ngmlimit.minorlimit import (DiagonalRay, assemble_limit_inverse,
                                  exact_minor_inverse)
 from ngmlimit.ngm import (MMatrixWarning, NGMPair, dfe_threshold_check, r0,
@@ -138,6 +138,9 @@ def test_remove_compartment_index_errors():
         remove_compartment(pair, 0)
     with pytest.raises(ValueError):
         remove_compartment(pair, 3)
+    for bad in (True, 1.0):
+        with pytest.raises(ConfigError):
+            remove_compartment(pair, bad)
     with pytest.raises(ValueError):
         remove_compartment(remove_compartment(pair, 1), 1)
 
