@@ -1,8 +1,8 @@
 """Minor-removal inverse limits and next-generation-matrix reproduction
 numbers for relapsing vector-borne disease models."""
 
-from .densela import (Matrix, cofactor_det, determinant, identity, inf_norm,
-                      inverse, matmul, minor, set_entry)
+from .densela import (Matrix, determinant, identity, inf_norm, inverse,
+                      matmul, minor, set_entry)
 from .eigen import Spectrum, eigenvalues, spectral_abscissa, spectral_radius
 from .errors import ConfigError, ConvergenceError, SingularMatrixError
 from .minorlimit import (ConvergenceReport, DiagonalRay,
@@ -21,8 +21,8 @@ from .relapse import (HostParams, R0Result, RemovalStep, VectorParams,
 __version__ = "0.1.0"
 
 __all__ = [
-    "Matrix", "minor", "determinant", "cofactor_det", "inverse", "matmul",
-    "identity", "inf_norm", "set_entry",
+    "Matrix", "minor", "determinant", "inverse", "matmul", "identity",
+    "inf_norm", "set_entry",
     "Spectrum", "eigenvalues", "spectral_radius", "spectral_abscissa",
     "SingularMatrixError", "ConvergenceError", "ConfigError",
     "DiagonalRay", "ConvergenceReport", "default_schedule",

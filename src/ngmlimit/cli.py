@@ -20,9 +20,7 @@ from .eigen import eigenvalues
 from .errors import ConfigError, ConvergenceError, SingularMatrixError
 from .minorlimit import ConvergenceReport, DiagonalRay, limit_minor_inverse
 from .ngm import NGMPair, r0, r0_removal_limit
-from .relapse import (HostParams, VectorParams, build_coupled_ngm,
-                      build_uncoupled_ngm, r0_coupled_closed,
-                      r0_uncoupled_closed)
+from .relapse import HostParams, VectorParams, _build_ngm, _r0_closed
 from .verify import run_all
 
 EXIT_PROPERTY_FAILURE = 1
@@ -163,6 +161,9 @@ def _parse_params(cls, model: dict, key: str):
                                for field in fields(cls)))
 
 
+_HOST_KEYS = {"uncoupled": ("host",), "coupled": ("host1", "host2")}
+
+
 def _parse_model(cfg: dict) -> tuple[NGMPair, float]:
     """Build the configured pair; returns it with its closed-form r0."""
     model = cfg.get("model")
@@ -170,19 +171,12 @@ def _parse_model(cfg: dict) -> tuple[NGMPair, float]:
         raise ConfigError("model", "must be an object")
     kind = _require(model, "kind", "model")
     vec = _parse_params(VectorParams, model, "vector")
-    if kind == "uncoupled":
-        host = _parse_params(HostParams, model, "host")
-        j = host.stages
-        return (build_uncoupled_ngm(host, vec, j),
-                r0_uncoupled_closed(host, vec, j).value)
-    if kind == "coupled":
-        host1 = _parse_params(HostParams, model, "host1")
-        host2 = _parse_params(HostParams, model, "host2")
-        j, k = host1.stages, host2.stages
-        return (build_coupled_ngm(host1, host2, vec, j, k),
-                r0_coupled_closed(host1, host2, vec, j, k).value)
-    raise ConfigError("model.kind",
-                      f'must be "uncoupled" or "coupled", got {kind!r}')
+    if not isinstance(kind, str) or kind not in _HOST_KEYS:
+        raise ConfigError("model.kind",
+                          f'must be "uncoupled" or "coupled", got {kind!r}')
+    hosts = tuple(_parse_params(HostParams, model, key)
+                  for key in _HOST_KEYS[kind])
+    return _build_ngm(hosts, vec), _r0_closed(hosts, vec).value
 
 
 def _parse_matrix(value, field: str) -> Matrix:

@@ -17,10 +17,8 @@ from .errors import ConfigError, SingularMatrixError
 __all__ = [
     "Matrix",
     "SINGULARITY_RTOL",
-    "COFACTOR_SIZE_LIMIT",
     "minor",
     "determinant",
-    "cofactor_det",
     "inverse",
     "matmul",
     "identity",
@@ -32,9 +30,6 @@ __all__ = [
 # as zero during inversion.
 SINGULARITY_RTOL = 1e-12
 
-# cofactor_det is O(n!) and exists as a test oracle only.
-COFACTOR_SIZE_LIMIT = 10
-
 _SMALLEST_POSITIVE = float(np.nextafter(0.0, 1.0))
 
 
@@ -43,34 +38,25 @@ class Matrix:
 
     Construct from an iterable of rows (``Matrix([[1, 2], [3, 4]])``) or
     from a flat row-major sequence via :meth:`from_flat`. Entries must be
-    finite; NaN and infinity are rejected.
+    finite real numbers; NaN, infinity, bool and str are rejected.
     """
 
     __slots__ = ("_a",)
 
     def __init__(self, rows: Iterable[Iterable[float]]):
         try:
-            data = [[float(v) for v in row] for row in rows]
-            a = np.array(data, dtype=np.float64)
-        except (TypeError, ValueError, OverflowError) as exc:
+            a = np.array([[_check_real("entry", v) for v in row]
+                          for row in rows], dtype=np.float64)
+        except (TypeError, ValueError) as exc:
             raise ValueError(f"matrix rows must be equal-length sequences "
                              f"of numbers: {exc}") from None
-        if a.ndim != 2 or a.shape[0] == 0 or a.shape[1] == 0:
-            raise ValueError("matrix needs at least one row and one column")
-        _require_finite(a)
-        a.setflags(write=False)
-        self._a = a
+        self._a = _frozen(a)
 
     @classmethod
     def _wrap(cls, a: np.ndarray) -> "Matrix":
         """Internal constructor taking ownership of a float64 array."""
         m = object.__new__(cls)
-        a = np.ascontiguousarray(a, dtype=np.float64)
-        if a.ndim != 2 or a.shape[0] == 0 or a.shape[1] == 0:
-            raise ValueError("matrix needs at least one row and one column")
-        _require_finite(a)
-        a.setflags(write=False)
-        m._a = a
+        m._a = _frozen(np.ascontiguousarray(a, dtype=np.float64))
         return m
 
     @classmethod
@@ -79,7 +65,7 @@ class Matrix:
         """Build a rows x cols matrix from a row-major flat sequence."""
         if rows < 1 or cols < 1:
             raise ValueError("rows and cols must be positive")
-        flat = [float(v) for v in values]
+        flat = [_check_real("entry", v) for v in values]
         if len(flat) != rows * cols:
             raise ValueError(f"need {rows * cols} values for a "
                              f"{rows}x{cols} matrix, got {len(flat)}")
@@ -141,6 +127,15 @@ class Matrix:
         return f"Matrix({self.to_lists()!r})"
 
 
+def _frozen(a: np.ndarray) -> np.ndarray:
+    """``a``, made read-only, if it is a nonempty 2-D finite array."""
+    if a.ndim != 2 or a.shape[0] == 0 or a.shape[1] == 0:
+        raise ValueError("matrix needs at least one row and one column")
+    _require_finite(a)
+    a.setflags(write=False)
+    return a
+
+
 def _require_finite(a: np.ndarray) -> None:
     if not np.isfinite(a).all():
         raise ValueError("matrix entries must be finite (no NaN/Inf)")
@@ -168,24 +163,33 @@ def _check_index(name: str, value: int, upper: int) -> None:
         raise ConfigError(name, f"must be in 1..{upper}, got {value}")
 
 
-def _check_positive(name: str, value, index: "int | None" = None) -> float:
-    """``value`` as a float, if it is a finite real number above zero.
+def _check_real(name: str, value, index: "int | None" = None) -> float:
+    """``value`` as a float, if it is a real number.
 
     bool and str are refused although ``float`` takes them, and so is
     an integer too large for a float. A member of a sequence is named
     ``name[index]``; the name is put together only when raising, as this
-    runs on every rate of every HostParams.
+    runs on every matrix entry.
+    """
+    if value.__class__ is float:
+        return value
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ConfigError(_member(name, index),
+                          f"must be a number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:
+        raise ConfigError(_member(name, index),
+                          "must be finite, got an integer beyond "
+                          "the float range") from None
+
+
+def _check_positive(name: str, value, index: "int | None" = None) -> float:
+    """``value`` as a float, if it is a finite real number above zero.
+    A float skips :func:`_check_real`: this runs on every HostParams rate.
     """
     if value.__class__ is not float:
-        if isinstance(value, bool) or not isinstance(value, numbers.Real):
-            raise ConfigError(_member(name, index),
-                              f"must be a number, got {value!r}")
-        try:
-            value = float(value)
-        except OverflowError:
-            raise ConfigError(_member(name, index),
-                              "must be finite, got an integer beyond "
-                              "the float range") from None
+        value = _check_real(name, value, index)
     if not 0.0 < value < math.inf:
         raise ConfigError(_member(name, index),
                           f"must be positive and finite, got {value!r}")
@@ -411,34 +415,6 @@ def _determinant_stack(a: np.ndarray, varying: int = 0) -> list[float]:
     return [0.0 if c else
             float((-1.0 if s % 2 else 1.0) * np.prod(np.diag(lu)))
             for lu, s, c in zip(a, (swaps + more).tolist(), column.tolist())]
-
-
-def cofactor_det(a: Matrix) -> float:
-    """Determinant by recursive cofactor expansion along the first row.
-
-    O(n!) test oracle; refuses matrices larger than
-    ``COFACTOR_SIZE_LIMIT``.
-    """
-    _require_square(a, "cofactor_det")
-    if a.rows > COFACTOR_SIZE_LIMIT:
-        raise ValueError(f"cofactor_det is limited to matrices of size "
-                         f"{COFACTOR_SIZE_LIMIT}, got {a.rows}")
-    return _cofactor_expand(a._a)
-
-
-def _cofactor_expand(m: np.ndarray) -> float:
-    n = m.shape[0]
-    if n == 1:
-        return float(m[0, 0])
-    total = 0.0
-    rest = m[1:, :]
-    for k in range(n):
-        if m[0, k] == 0.0:
-            continue
-        sub = np.delete(rest, k, axis=1)
-        term = m[0, k] * _cofactor_expand(sub)
-        total += -term if k % 2 else term
-    return total
 
 
 def inverse(a: Matrix) -> Matrix:

@@ -154,11 +154,10 @@ def r0_removal_limit(
     """Reproduce compartment removal by driving V's (i, i) entry upward.
 
     Evaluates ``rho(F V(t)^-1)`` along the schedule with F held fixed and
-    measures each point against the removed-compartment r0 (or an
-    explicit ``target``, e.g. a closed form).
+    measures each point against the removed-compartment r0, which
+    :func:`spectral_limit` computes (or an explicit ``target``, e.g. a
+    closed form).
     """
-    if target is None:
-        target = r0(remove_compartment(pair, i))
     _, report = spectral_limit(pair.F, DiagonalRay(pair.V, i),
                                schedule=schedule, target=target)
     return report

@@ -9,8 +9,8 @@ of one such chain has the closed form
     r0 = f * sqrt( c * c_v * Sv / (mu_tilde * S)
                    * sum_{k=1..j} prod_{l=1..k} alpha_{l-1} / (alpha_l + mu_l) )
 
-and two chains sharing one vector combine in quadrature:
-``r0_coupled**2 = r0_1**2 + r0_2**2``. Dropping the last stage of a chain
+and host chains sharing one vector combine in quadrature:
+``r0**2 = sum_h r0_h**2``. Dropping the last stage of a chain
 equals driving its stage-exit rate to infinity, which this module
 reproduces numerically through the spectral-radius limit.
 """
@@ -125,93 +125,84 @@ def _require_stage_count(host: HostParams, j: int, who: str) -> None:
             f"j={j} was requested")
 
 
+def _r0_closed(hosts: Sequence[HostParams], vec: VectorParams) -> R0Result:
+    """Closed-form reproduction number of host chains sharing one vector.
+
+    Each chain's sum telescopes over its stages: stage k contributes the
+    product of its upstream pass-through probabilities
+    ``alpha_{l-1} / (alpha_l + mu_l)``. The chains' values combine in
+    quadrature; for one chain that is its own value, bit for bit.
+    """
+    parts = []
+    for host in hosts:
+        total = 0.0
+        running = 1.0
+        for l in range(1, host.stages + 1):
+            running *= host.alpha[l - 1] / (host.alpha[l] + host.mu[l - 1])
+            total += running
+        prefactor = (host.c * vec.c_v * vec.s_v_bar
+                     / (vec.mu_tilde * host.s_bar))
+        parts.append(vec.f * math.sqrt(prefactor * total))
+    return R0Result(math.hypot(*parts))
+
+
+def _build_ngm(hosts: Sequence[HostParams], vec: VectorParams) -> NGMPair:
+    """Canonical (F, V) pair for host chains sharing one vector.
+
+    Compartments run chain by chain, vector last: ``I1..Ij, Iv`` for one
+    chain, ``I<species>.<stage>`` for more. V is block diagonal: chains
+    with diagonal ``alpha_l + mu_l`` and subdiagonal ``-alpha_{l-1}``,
+    then the vector mortality. F is the vector's column, into each
+    chain's first stage (``f * c * alpha_0``), and its row, out of every
+    stage (``f * c_v * s_v_bar / s_bar``).
+    """
+    n = sum(host.stages for host in hosts) + 1
+    v = np.zeros((n, n))
+    f = np.zeros((n, n))
+    v[n - 1, n - 1] = vec.mu_tilde
+    labels = []
+    start = 0
+    for species, host in enumerate(hosts, 1):
+        j = host.stages
+        for l in range(j):
+            v[start + l, start + l] = host.alpha[l + 1] + host.mu[l]
+            if l:
+                v[start + l, start + l - 1] = -host.alpha[l]
+        f[start, n - 1] = vec.f * host.c * host.alpha[0]
+        f[n - 1, start:start + j] = vec.f * vec.c_v * vec.s_v_bar / host.s_bar
+        prefix = "I" if len(hosts) == 1 else f"I{species}."
+        labels += [f"{prefix}{l}" for l in range(1, j + 1)]
+        start += j
+    return NGMPair(Matrix._wrap(f), Matrix._wrap(v), (*labels, "Iv"))
+
+
 def r0_uncoupled_closed(host: HostParams, vec: VectorParams,
                         j: int) -> R0Result:
-    """Closed-form reproduction number of one host chain plus vector.
-
-    The sum telescopes over stages: each stage k contributes the product
-    of its upstream pass-through probabilities
-    ``alpha_{l-1} / (alpha_l + mu_l)``.
-    """
+    """Closed-form r0 of one j-stage host chain and the vector."""
     _require_stage_count(host, j, "host")
-    total = 0.0
-    running = 1.0
-    for l in range(1, j + 1):
-        running *= host.alpha[l - 1] / (host.alpha[l] + host.mu[l - 1])
-        total += running
-    prefactor = (host.c * vec.c_v * vec.s_v_bar
-                 / (vec.mu_tilde * host.s_bar))
-    return R0Result(vec.f * math.sqrt(prefactor * total))
-
-
-def _chain_blocks(host: HostParams, j: int) -> np.ndarray:
-    """Lower-bidiagonal transfer block of one j-stage chain."""
-    block = np.zeros((j, j))
-    for l in range(j):
-        block[l, l] = host.alpha[l + 1] + host.mu[l]
-    for l in range(1, j):
-        block[l, l - 1] = -host.alpha[l]
-    return block
+    return _r0_closed((host,), vec)
 
 
 def build_uncoupled_ngm(host: HostParams, vec: VectorParams,
                         j: int) -> NGMPair:
-    """Canonical (F, V) pair for one host chain and one vector.
-
-    Compartments are ordered I_1..I_j, I_v. V chains the stages
-    (diagonal ``alpha_l + mu_l`` with subdiagonal ``-alpha_{l-1}``) and
-    carries the vector mortality last; F routes vector-to-host infection
-    into stage 1 (weight ``f * c * alpha_0``) and host-to-vector
-    infection out of every stage (weight ``f * c_v * s_v_bar / s_bar``).
-    Its r0 reproduces the closed form exactly.
-    """
+    """(F, V) pair of one j-stage host chain and the vector."""
     _require_stage_count(host, j, "host")
-    n = j + 1
-    v = np.zeros((n, n))
-    v[:j, :j] = _chain_blocks(host, j)
-    v[j, j] = vec.mu_tilde
-    f = np.zeros((n, n))
-    f[0, j] = vec.f * host.c * host.alpha[0]
-    f[j, :j] = vec.f * vec.c_v * vec.s_v_bar / host.s_bar
-    labels = tuple(f"I{l}" for l in range(1, j + 1)) + ("Iv",)
-    return NGMPair(Matrix._wrap(f), Matrix._wrap(v), labels)
+    return _build_ngm((host,), vec)
 
 
 def build_coupled_ngm(host1: HostParams, host2: HostParams,
                       vec: VectorParams, j: int, k: int) -> NGMPair:
-    """Canonical (F, V) pair for two host chains sharing one vector.
-
-    Compartments are ordered species-1 stages, species-2 stages, vector
-    last. V is block diagonal (two chains plus the vector mortality);
-    F's only coupling is the shared vector row and column.
-    """
+    """(F, V) pair of a j- and a k-stage host chain sharing the vector."""
     _require_stage_count(host1, j, "host1")
     _require_stage_count(host2, k, "host2")
-    n = j + k + 1
-    v = np.zeros((n, n))
-    v[:j, :j] = _chain_blocks(host1, j)
-    v[j:j + k, j:j + k] = _chain_blocks(host2, k)
-    v[n - 1, n - 1] = vec.mu_tilde
-    f = np.zeros((n, n))
-    f[0, n - 1] = vec.f * host1.c * host1.alpha[0]
-    f[j, n - 1] = vec.f * host2.c * host2.alpha[0]
-    f[n - 1, :j] = vec.f * vec.c_v * vec.s_v_bar / host1.s_bar
-    f[n - 1, j:j + k] = vec.f * vec.c_v * vec.s_v_bar / host2.s_bar
-    labels = (tuple(f"I1.{l}" for l in range(1, j + 1))
-              + tuple(f"I2.{l}" for l in range(1, k + 1)) + ("Iv",))
-    return NGMPair(Matrix._wrap(f), Matrix._wrap(v), labels)
+    return _build_ngm((host1, host2), vec)
 
 
 def r0_coupled_closed(host1: HostParams, host2: HostParams,
-                      vec: VectorParams, k: int, j: int) -> R0Result:
-    """Closed-form coupled reproduction number, combined in quadrature.
-
-    Species 1 contributes its k-stage value and species 2 its j-stage
-    value; parameter chains longer than requested are truncated.
-    """
-    part1 = r0_uncoupled_closed(host1.truncated(k), vec, k).value
-    part2 = r0_uncoupled_closed(host2.truncated(j), vec, j).value
-    return R0Result(math.hypot(part1, part2))
+                      vec: VectorParams, j: int, k: int) -> R0Result:
+    """Closed-form r0 of host1's first j stages and host2's first k
+    stages sharing the vector; longer parameter chains are truncated."""
+    return _r0_closed((host1.truncated(j), host2.truncated(k)), vec)
 
 
 @dataclass(frozen=True)

@@ -19,9 +19,10 @@ from .minorlimit import (DiagonalRay, assemble_limit_inverse,
                          exact_minor_inverse, limit_minor_inverse,
                          _row_col_maxima, spectral_limit)
 from .ngm import NGMPair, dfe_threshold_check, r0, remove_compartment
-from .relapse import (HostParams, VectorParams, build_coupled_ngm,
-                      build_uncoupled_ngm, r0_coupled_closed,
-                      r0_uncoupled_closed, relapse_limit_experiment)
+from .relapse import (HostParams, VectorParams, _build_ngm, _r0_closed,
+                      build_coupled_ngm, build_uncoupled_ngm,
+                      r0_coupled_closed, r0_uncoupled_closed,
+                      relapse_limit_experiment)
 from . import densela, ngm
 
 __all__ = [
@@ -122,25 +123,17 @@ def random_vector(rng: np.random.Generator, f: float = 1.0) -> VectorParams:
 
 
 def random_relapse_pair(rng: np.random.Generator) -> tuple[NGMPair, float]:
-    """A built relapse pair rescaled to a target r0 drawn from (0.2, 5).
+    """A one- or two-chain relapse pair rescaled to a target r0 in (0.2, 5).
 
     r0 is linear in the biting rate, so the target is hit by scaling f.
     """
     target = float(rng.uniform(0.2, 5.0))
-    coupled = bool(rng.integers(0, 2))
+    species = 1 + int(rng.integers(0, 2))
     vec = random_vector(rng)
-    if coupled:
-        j = int(rng.integers(1, 5))
-        k = int(rng.integers(1, 5))
-        host1, host2 = random_host(rng, j), random_host(rng, k)
-        base = r0_coupled_closed(host1, host2, vec, j, k).value
-        vec = replace(vec, f=target / base)
-        return build_coupled_ngm(host1, host2, vec, j, k), target
-    j = int(rng.integers(1, 5))
-    host = random_host(rng, j)
-    base = r0_uncoupled_closed(host, vec, j).value
-    vec = replace(vec, f=target / base)
-    return build_uncoupled_ngm(host, vec, j), target
+    stages = [int(rng.integers(1, 5)) for _ in range(species)]
+    hosts = tuple(random_host(rng, j) for j in stages)
+    vec = replace(vec, f=target / _r0_closed(hosts, vec).value)
+    return _build_ngm(hosts, vec), target
 
 
 # ---------------------------------------------------------------------------

@@ -125,9 +125,17 @@ HOST = ("model", "host")
     ("sweep", _edited(WORKED_SWEEP, ("schedule",), [5.0, 4.0]), "schedule"),
     ("sweep", _edited(WORKED_SWEEP, ("schedule",), [1.0, 2.0])
      .replace("2.0]", "1e400]"), "schedule[1]"),
+    ("sweep", _edited(WORKED_SWEEP, ("matrix",),
+                      [["2", True, 0], [1, "3", 1], [0, 1, 4]]), "matrix"),
+    ("sweep", _edited(WORKED_SWEEP, ("matrix",), ["210", "131", "014"]),
+     "matrix"),
+    ("r0", json.dumps({"ngm": {"f": [[True]], "v": [["2"]]}}), "ngm.f"),
+    ("r0", _edited(UNIT_UNCOUPLED, ("model", "kind"), []), "model.kind"),
+    ("r0", _edited(UNIT_UNCOUPLED, ("model", "kind"), 3), "model.kind"),
 ], ids=["alpha-mu-lengths", "1x1-matrix", "matrix-overflow", "index-1.5", "index-true",
         "c-true", "c-overflow", "alpha-string", "alpha-number", "mu-empty",
-        "schedule-decreasing", "schedule-overflow"])
+        "schedule-decreasing", "schedule-overflow", "matrix-str-bool",
+        "matrix-str-rows", "ngm-bool-str", "kind-list", "kind-number"])
 def test_malformed_config_exits_2_at_its_key(command, stdin, key):
     result = invoke([command, "--config", "-"], stdin=stdin)
     assert result.exit_code == 2

@@ -6,14 +6,40 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ngmlimit.densela import (SINGULARITY_RTOL, Matrix, _determinant_stack,
-                              _inverse_stack, cofactor_det, determinant,
-                              identity, inf_norm, inverse, matmul, minor,
-                              set_entry)
+                              _inverse_stack, determinant, identity,
+                              inf_norm, inverse, matmul, minor, set_entry)
 from ngmlimit.errors import SingularMatrixError
 from ngmlimit.minorlimit import DiagonalRay
 from ngmlimit.relapse import HostParams, VectorParams, build_coupled_ngm
 
 WORKED_3X3 = Matrix([[2.0, 1.0, 0.0], [1.0, 3.0, 1.0], [0.0, 1.0, 4.0]])
+
+# cofactor_det is O(n!), so it refuses matrices larger than this.
+COFACTOR_SIZE_LIMIT = 10
+
+
+def cofactor_det(a: Matrix) -> float:
+    """Reference: determinant by recursive cofactor expansion along the
+    first row, for square matrices up to COFACTOR_SIZE_LIMIT."""
+    if a.rows > COFACTOR_SIZE_LIMIT:
+        raise ValueError(f"cofactor_det is limited to matrices of size "
+                         f"{COFACTOR_SIZE_LIMIT}, got {a.rows}")
+    return _cofactor_expand(a.to_numpy())
+
+
+def _cofactor_expand(m: np.ndarray) -> float:
+    n = m.shape[0]
+    if n == 1:
+        return float(m[0, 0])
+    total = 0.0
+    rest = m[1:, :]
+    for k in range(n):
+        if m[0, k] == 0.0:
+            continue
+        sub = np.delete(rest, k, axis=1)
+        term = m[0, k] * _cofactor_expand(sub)
+        total += -term if k % 2 else term
+    return total
 
 
 def loop_lu(a: np.ndarray, pivot_floor: float):
@@ -104,6 +130,16 @@ def test_from_flat_round_trip():
 def test_non_finite_entries_rejected(bad):
     with pytest.raises(ValueError):
         Matrix([[1.0, bad], [0.0, 1.0]])
+
+
+@pytest.mark.parametrize("bad", [True, "2"])
+def test_entries_must_be_real_numbers(bad):
+    # float() takes bool and str; a matrix entry must be a real number
+    with pytest.raises(ValueError):
+        Matrix([[1.0, bad], [0.0, 1.0]])
+    with pytest.raises(ValueError):
+        Matrix.from_flat(2, 2, [1.0, bad, 0.0, 1.0])
+    assert Matrix([[np.int64(1), np.float32(0.5)]]).data == (1.0, 0.5)
 
 
 def test_ragged_rows_rejected():

@@ -246,6 +246,19 @@ def test_coupled_closed_truncates_covering_chains():
         r0_coupled_closed(host1, host2, vec, 5, 3)
 
 
+def test_three_species_construction_matches_its_closed_form():
+    rng = np.random.default_rng(57)
+    hosts = tuple(random_host(rng, j) for j in (3, 5, 2))
+    vec = random_vector(rng, f=float(rng.uniform(0.1, 3.0)))
+    pair = relapse._build_ngm(hosts, vec)
+    assert pair.labels == ("I1.1", "I1.2", "I1.3", "I2.1", "I2.2", "I2.3",
+                           "I2.4", "I2.5", "I3.1", "I3.2", "Iv")
+    closed = relapse._r0_closed(hosts, vec).value
+    assert r0(pair) == pytest.approx(closed, rel=1e-12)
+    assert closed == math.hypot(*(relapse._r0_closed((host,), vec).value
+                                  for host in hosts))
+
+
 def test_builder_rejects_mismatched_stage_counts():
     rng = np.random.default_rng(56)
     host1, host2, vec = random_host(rng, 2), random_host(rng, 3), \
