@@ -182,7 +182,7 @@ def _parse_model(cfg: dict) -> tuple[NGMPair, float]:
 def _parse_matrix(value, field: str) -> Matrix:
     if not isinstance(value, list):
         raise ConfigError(field, "must be an array of rows")
-    return _built(field, Matrix, value)
+    return _built(field, Matrix, value, rows=field)
 
 
 def _schedule_from(cfg: dict, flag: "str | None"):

@@ -38,15 +38,19 @@ class Matrix:
 
     Construct from an iterable of rows (``Matrix([[1, 2], [3, 4]])``) or
     from a flat row-major sequence via :meth:`from_flat`. Entries must be
-    finite real numbers; NaN, infinity, bool and str are rejected.
+    finite real numbers; NaN, infinity, bool and str are rejected, the
+    last two by a ConfigError naming the entry (``rows[0][1]``).
     """
 
     __slots__ = ("_a",)
 
     def __init__(self, rows: Iterable[Iterable[float]]):
         try:
-            a = np.array([[_check_real("entry", v) for v in row]
-                          for row in rows], dtype=np.float64)
+            a = np.array([[_check_real(f"rows[{r}]", v, c)
+                           for c, v in enumerate(row)]
+                          for r, row in enumerate(rows)], dtype=np.float64)
+        except ConfigError:
+            raise
         except (TypeError, ValueError) as exc:
             raise ValueError(f"matrix rows must be equal-length sequences "
                              f"of numbers: {exc}") from None
@@ -65,7 +69,7 @@ class Matrix:
         """Build a rows x cols matrix from a row-major flat sequence."""
         if rows < 1 or cols < 1:
             raise ValueError("rows and cols must be positive")
-        flat = [_check_real("entry", v) for v in values]
+        flat = [_check_real("values", v, k) for k, v in enumerate(values)]
         if len(flat) != rows * cols:
             raise ValueError(f"need {rows * cols} values for a "
                              f"{rows}x{cols} matrix, got {len(flat)}")
@@ -233,8 +237,8 @@ def set_entry(a: Matrix, i: int, j: int, value: float) -> Matrix:
     """Copy of ``a`` with the 1-based (i, j) entry replaced."""
     _check_index("row index i", i, a.rows)
     _check_index("column index j", j, a.cols)
-    v = float(value)
-    if not np.isfinite(v):
+    v = _check_real("value", value)
+    if not math.isfinite(v):
         raise ValueError("entry value must be finite")
     out = a._a.copy()
     out[i - 1, j - 1] = v
@@ -381,11 +385,15 @@ def _inverse_stack(a: np.ndarray, floors: np.ndarray, varying: int = 0):
         for k, nonzero in enumerate(lower, 1):
             if nonzero:
                 inv[:, k:k + 1] -= np.matmul(a[:, k:k + 1, :k], inv[:, :k])
-        for k in range(n - 1, -1, -1):
-            if upper[k]:
-                inv[:, k:k + 1] -= np.matmul(a[:, k:k + 1, k + 1:],
-                                             inv[:, k + 1:])
-            inv[:, k] /= diagonal[:, k]
+        if any(upper):
+            for k in range(n - 1, -1, -1):
+                if upper[k]:
+                    inv[:, k:k + 1] -= np.matmul(a[:, k:k + 1, k + 1:],
+                                                 inv[:, k + 1:])
+                inv[:, k] /= diagonal[:, k]
+        else:
+            # U is diagonal in every member: the same divisions, at once
+            inv /= diagonal
     if np.count_nonzero(column):
         inv[column > 0] = np.nan
     return inv, column, pivots

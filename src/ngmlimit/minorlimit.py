@@ -54,6 +54,14 @@ CONDITION_GUARD = 1.0 / (100.0 * _EPS)
 # Least-squares rate fitting needs at least this many clean points.
 _MIN_FIT_POINTS = 3
 
+# A minor-inverse downdate gives way to factoring when its rank-one
+# correction, or its terms against its result, grow past this factor.
+_DOWNDATE_GROWTH = 10.0
+
+# ... or when n * cond_inf of the minor passes this: factoring could then
+# meet a pivot below the singularity floor (1e12, with a 100x margin).
+_DOWNDATE_CONDITION = 1e10
+
 
 @dataclass(frozen=True)
 class DiagonalRay:
@@ -178,6 +186,58 @@ def exact_minor_inverse(ray: DiagonalRay) -> Matrix:
             pivot=exc.pivot, column=exc.column) from None
 
 
+def _downdated_minor_inverse(ray: DiagonalRay,
+                             base_inverse: Matrix) -> "Matrix | None":
+    """The inverse of the ray's (i, i) minor, downdated from
+    ``base_inverse``, the inverse of the ray's base; None where the
+    downdate cannot be trusted and the caller must factor the minor.
+
+    With ``B = A^-1`` and m every index but i, the (i, i) minor's inverse
+    is ``M = B_mm - B_mi B_im / B_ii``: O(n^2) work in place of an O(n^3)
+    factorization. Where column or row i of B is zero off the diagonal
+    (the last or first stage of a chain), the correction is zero and the
+    subtraction exact; on relapse models M is then bit for bit the
+    factored inverse.
+
+    None is returned, so that factoring decides, and raises where the
+    minor is singular, when (inf-norms):
+
+    * B_ii is zero or not finite;
+    * B_ii is small against ``|B_mi| |B_im| / |B_mm|``: the correction
+      ``B_mi B_im / B_ii`` exceeds _DOWNDATE_GROWTH * |B_mm| (it never
+      exceeds |B_mm| when A is an M-matrix);
+    * the subtraction cancels: ``|B_mm|`` plus the correction's norm
+      exceeds _DOWNDATE_GROWTH * |M|;
+    * ``n |M| |A_[i,i]|`` exceeds _DOWNDATE_CONDITION, n being the minor's
+      order. Partial pivoting gives ``P A_[i,i] = L U`` with
+      ``|L| <= n``, so every pivot is at least ``1 / (n |M|)``; below
+      1e12 none falls under ``SINGULARITY_RTOL * |A_[i,i]|``, and the 100x
+      margin covers the rounding in M.
+    """
+    b = base_inverse._a
+    c = ray.i - 1
+    pivot = float(b[c, c])
+    if pivot == 0.0 or not math.isfinite(pivot):
+        return None
+    keep = np.delete(np.arange(len(b)), c)
+    kept = b[keep][:, keep]
+    column = b[keep, c]
+    row = b[c, keep] / pivot
+    downdated = kept - np.outer(column, row)
+    kept_norm = np.abs(kept).sum(axis=1).max()
+    correction_norm = np.abs(column).max() * np.abs(row).sum()
+    norm = np.abs(downdated).sum(axis=1).max()
+    a = np.abs(ray.base._a)
+    # |A_[i,i]|: the kept rows of |A|, less their column i
+    minor_norm = (a[keep].sum(axis=1) - a[keep, c]).max()
+    # written so that a NaN fails each test
+    if not (correction_norm <= _DOWNDATE_GROWTH * kept_norm
+            and kept_norm + correction_norm <= _DOWNDATE_GROWTH * norm
+            and len(keep) * norm * minor_norm <= _DOWNDATE_CONDITION):
+        return None
+    return Matrix._wrap(downdated)
+
+
 def richardson(x_t: Matrix, x_2t: Matrix, ratio: float = 2.0) -> Matrix:
     """First-order Richardson extrapolant of two iterates.
 
@@ -273,13 +333,19 @@ def spectral_limit(
     if f.shape != v_ray.base.shape:
         raise ValueError(f"F must match the ray base shape "
                          f"{v_ray.base.shape}, got {f.shape}")
+    # factored even with a target given: a singular minor fails fast
+    return _spectral_limit(f, v_ray, exact_minor_inverse(v_ray),
+                           schedule, target)
+
+
+def _spectral_limit(f: Matrix, v_ray: DiagonalRay, minor_inverse: Matrix,
+                    schedule: "Sequence[float] | None",
+                    target: "float | None") -> tuple[float, ConvergenceReport]:
+    """:func:`spectral_limit`, given the inverse of the ray's (i, i) minor,
+    from which the target comes when none is given."""
     if target is None:
-        reduced = matmul(minor(f, v_ray.i, v_ray.i),
-                         exact_minor_inverse(v_ray))
-        target = spectral_radius(reduced)
-    else:
-        # still fail fast on the hypothesis of the limit result
-        exact_minor_inverse(v_ray)
+        target = spectral_radius(
+            matmul(minor(f, v_ray.i, v_ray.i), minor_inverse))
     ts = _validate_schedule(schedule if schedule is not None
                             else default_schedule(v_ray.base))
     inverses, usable, flags = _invert_schedule(v_ray, ts)

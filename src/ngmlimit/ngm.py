@@ -18,7 +18,9 @@ import numpy as np
 
 from .densela import Matrix, _check_index, inverse, matmul, minor
 from .eigen import spectral_abscissa, spectral_radius
-from .minorlimit import ConvergenceReport, DiagonalRay, spectral_limit
+from .minorlimit import (ConvergenceReport, DiagonalRay,
+                         _downdated_minor_inverse, _spectral_limit,
+                         exact_minor_inverse)
 
 __all__ = [
     "MMATRIX_TOL",
@@ -58,6 +60,10 @@ class NGMPair:
     non-M-matrix V triggers an MMatrixWarning. ``V_inv`` keeps the
     inverse of V computed by that check; it is not a constructor
     argument and takes no part in ``repr`` or equality.
+    :func:`remove_compartment` sets it, downdated from the larger pair's,
+    before ``__init__`` runs. V is factored unless a ``V_inv`` is found in
+    place with no entry below ``-MMATRIX_TOL``, so a warning is always
+    decided on a factored inverse.
     """
 
     F: Matrix
@@ -78,8 +84,10 @@ class NGMPair:
                              f"got {len(self.labels)}")
         if np.any(self.F._a < 0.0):
             raise ValueError("F must be entrywise nonnegative")
-        v_inv = inverse(self.V)  # raises SingularMatrixError for singular V
-        object.__setattr__(self, "V_inv", v_inv)
+        v_inv = self.__dict__.get("V_inv")
+        if v_inv is None or np.any(v_inv._a < -MMATRIX_TOL):
+            v_inv = inverse(self.V)  # raises SingularMatrixError if singular
+            object.__setattr__(self, "V_inv", v_inv)
         if np.any(v_inv._a < -MMATRIX_TOL):
             warnings.warn(
                 "V^-1 has negative entries; V is not an M-matrix and the "
@@ -112,12 +120,21 @@ def r0(pair: NGMPair) -> float:
 
 
 def remove_compartment(pair: NGMPair, i: int) -> NGMPair:
-    """Drop compartment i (1-based): take (i, i) minors of F and V."""
+    """Drop compartment i (1-based): take (i, i) minors of F and V.
+
+    The new pair's ``V_inv`` is downdated from ``pair.V_inv`` in O(n^2)
+    where that is safe (``minorlimit._downdated_minor_inverse``) and
+    factored where it is not; a singular minor raises SingularMatrixError.
+    """
     if pair.dim < 2:
         raise ValueError("cannot remove the only compartment")
     _check_index("i", i, pair.dim)
     labels = pair.labels[:i - 1] + pair.labels[i:]
-    return NGMPair(minor(pair.F, i, i), minor(pair.V, i, i), labels)
+    reduced = NGMPair.__new__(NGMPair)
+    object.__setattr__(reduced, "V_inv", _downdated_minor_inverse(
+        DiagonalRay(pair.V, i), pair.V_inv))
+    reduced.__init__(minor(pair.F, i, i), minor(pair.V, i, i), labels)
+    return reduced
 
 
 def _threshold_sign(x: float) -> int:
@@ -153,11 +170,16 @@ def r0_removal_limit(
 ) -> ConvergenceReport:
     """Reproduce compartment removal by driving V's (i, i) entry upward.
 
-    Evaluates ``rho(F V(t)^-1)`` along the schedule with F held fixed and
-    measures each point against the removed-compartment r0, which
-    :func:`spectral_limit` computes (or an explicit ``target``, e.g. a
-    closed form).
+    Evaluates ``rho(F V(t)^-1)`` along the schedule with F held fixed, as
+    :func:`~ngmlimit.minorlimit.spectral_limit` does, and measures each
+    point against the removed-compartment r0 (or an explicit ``target``,
+    e.g. a closed form). The (i, i) minor's inverse, for that r0 and for
+    failing fast on a singular minor, is downdated from ``pair.V_inv``
+    where that is safe and factored where it is not.
     """
-    _, report = spectral_limit(pair.F, DiagonalRay(pair.V, i),
-                               schedule=schedule, target=target)
+    ray = DiagonalRay(pair.V, i)
+    minor_inverse = _downdated_minor_inverse(ray, pair.V_inv)
+    if minor_inverse is None:
+        minor_inverse = exact_minor_inverse(ray)
+    _, report = _spectral_limit(pair.F, ray, minor_inverse, schedule, target)
     return report

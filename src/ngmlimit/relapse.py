@@ -81,12 +81,18 @@ class HostParams:
         return len(self.mu)
 
     def truncated(self, j: int) -> "HostParams":
-        """The same host restricted to its first j stages."""
+        """The same host restricted to its first j stages.
+
+        The slices of checked rates need no second check, so the copy
+        skips ``__post_init__``.
+        """
         if not 1 <= j <= self.stages:
             raise ValueError(f"cannot truncate a {self.stages}-stage chain "
                              f"to {j} stages")
-        return HostParams(self.c, self.s_bar,
-                          self.alpha[:j + 1], self.mu[:j])
+        host = object.__new__(type(self))
+        vars(host).update(vars(self), alpha=self.alpha[:j + 1],
+                          mu=self.mu[:j])
+        return host
 
 
 @dataclass(frozen=True)

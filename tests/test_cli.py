@@ -111,7 +111,7 @@ HOST = ("model", "host")
      "model.host.alpha"),
     ("sweep", _edited(WORKED_SWEEP, ("matrix",), [[2.0]]), "matrix"),
     ("sweep", _edited(WORKED_SWEEP, ("matrix",), [[2, 1], [1, 10 ** 400]]),
-     "matrix"),
+     "matrix[1][1]"),
     ("sweep", _edited(WORKED_SWEEP, ("index",), 1.5), "index"),
     ("sweep", _edited(WORKED_SWEEP, ("index",), True), "index"),
     ("r0", _edited(UNIT_UNCOUPLED, HOST + ("c",), True), "model.host.c"),
@@ -126,16 +126,23 @@ HOST = ("model", "host")
     ("sweep", _edited(WORKED_SWEEP, ("schedule",), [1.0, 2.0])
      .replace("2.0]", "1e400]"), "schedule[1]"),
     ("sweep", _edited(WORKED_SWEEP, ("matrix",),
-                      [["2", True, 0], [1, "3", 1], [0, 1, 4]]), "matrix"),
+                      [["2", True, 0], [1, "3", 1], [0, 1, 4]]),
+     "matrix[0][0]"),
+    ("sweep", _edited(WORKED_SWEEP, ("matrix",),
+                      [[2, 1, 0], [1, 3, True], [0, 1, 4]]), "matrix[1][2]"),
     ("sweep", _edited(WORKED_SWEEP, ("matrix",), ["210", "131", "014"]),
-     "matrix"),
-    ("r0", json.dumps({"ngm": {"f": [[True]], "v": [["2"]]}}), "ngm.f"),
+     "matrix[0][0]"),
+    ("r0", json.dumps({"ngm": {"f": [[True]], "v": [["2"]]}}),
+     "ngm.f[0][0]"),
+    ("r0", json.dumps({"ngm": {"f": [[1, 0], [0, 1]],
+                               "v": [[1, 0], [0, "2"]]}}), "ngm.v[1][1]"),
     ("r0", _edited(UNIT_UNCOUPLED, ("model", "kind"), []), "model.kind"),
     ("r0", _edited(UNIT_UNCOUPLED, ("model", "kind"), 3), "model.kind"),
 ], ids=["alpha-mu-lengths", "1x1-matrix", "matrix-overflow", "index-1.5", "index-true",
         "c-true", "c-overflow", "alpha-string", "alpha-number", "mu-empty",
         "schedule-decreasing", "schedule-overflow", "matrix-str-bool",
-        "matrix-str-rows", "ngm-bool-str", "kind-list", "kind-number"])
+        "matrix-bool-at-1-2", "matrix-str-rows", "ngm-bool-str",
+        "ngm-v-str-at-1-1", "kind-list", "kind-number"])
 def test_malformed_config_exits_2_at_its_key(command, stdin, key):
     result = invoke([command, "--config", "-"], stdin=stdin)
     assert result.exit_code == 2

@@ -135,11 +135,14 @@ def test_non_finite_entries_rejected(bad):
 @pytest.mark.parametrize("bad", [True, "2"])
 def test_entries_must_be_real_numbers(bad):
     # float() takes bool and str; a matrix entry must be a real number
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^rows\[0\]\[1\]: must be a n"):
         Matrix([[1.0, bad], [0.0, 1.0]])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^values\[1\]: must be a n"):
         Matrix.from_flat(2, 2, [1.0, bad, 0.0, 1.0])
+    with pytest.raises(ValueError, match=r"^value: must be a number"):
+        set_entry(identity(2), 1, 2, bad)
     assert Matrix([[np.int64(1), np.float32(0.5)]]).data == (1.0, 0.5)
+    assert set_entry(identity(2), 1, 2, np.int64(3)).entry(1, 2) == 3.0
 
 
 def test_ragged_rows_rejected():

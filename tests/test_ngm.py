@@ -6,13 +6,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ngmlimit import minorlimit, ngm
 from ngmlimit.densela import Matrix, identity, inverse, matmul, minor
 from ngmlimit.eigen import eigenvalues
 from ngmlimit.errors import ConfigError, SingularMatrixError
-from ngmlimit.minorlimit import (DiagonalRay, assemble_limit_inverse,
-                                 exact_minor_inverse)
-from ngmlimit.ngm import (MMatrixWarning, NGMPair, dfe_threshold_check, r0,
-                          r0_removal_limit, remove_compartment)
+from ngmlimit.minorlimit import (DiagonalRay, _downdated_minor_inverse,
+                                 assemble_limit_inverse, exact_minor_inverse,
+                                 spectral_limit)
+from ngmlimit.ngm import (MMATRIX_TOL, MMatrixWarning, NGMPair,
+                          dfe_threshold_check, r0, r0_removal_limit,
+                          remove_compartment)
 from ngmlimit.relapse import (HostParams, VectorParams, build_coupled_ngm,
                               build_uncoupled_ngm, r0_coupled_closed,
                               r0_uncoupled_closed)
@@ -253,3 +256,163 @@ def test_spectrum_identity_zero_union():
                           key=lambda v: (v.real, v.imag))
         got = sorted(full.values, key=lambda v: (v.real, v.imag))
         assert max(abs(a - b) for a, b in zip(got, expected)) <= 1e-6
+
+
+# ---------------------------------------------------------------------------
+# downdated minor inverse
+
+_EPS = float(np.finfo(np.float64).eps)
+
+
+def _inf_norm(a):
+    return float(np.abs(a).sum(axis=1).max())
+
+
+def _refuse_factoring(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("factored where the downdate applies")
+    monkeypatch.setattr(ngm, "inverse", refuse)
+    monkeypatch.setattr(ngm, "exact_minor_inverse", refuse)
+
+
+@pytest.mark.parametrize("j", [2, 10, 40])
+def test_end_stage_downdate_is_the_factored_inverse_bit_for_bit(
+        j, monkeypatch):
+    # column i of V^-1 is zero off the diagonal at a chain's last stage,
+    # row i at its first: the downdate is a plain deletion there
+    rng = np.random.default_rng(j)
+    pair = build_coupled_ngm(random_host(rng, j), random_host(rng, j),
+                             random_vector(rng), j, j)
+    for i in (1, j, j + 1, 2 * j):
+        factored = inverse(minor(pair.V, i, i))
+        _, expected = spectral_limit(pair.F, DiagonalRay(pair.V, i))
+        with monkeypatch.context() as m:
+            _refuse_factoring(m)
+            reduced = remove_compartment(pair, i)
+            report = r0_removal_limit(pair, i)
+        assert reduced.V_inv._a.tobytes() == factored._a.tobytes()
+        assert report == expected
+
+
+def test_downdate_agrees_with_factoring_within_its_error_bound():
+    # A backward-stable inverse B + E of V has |E| <= n eps cond(V) |B|.
+    # To first order B + E downdates to M + P E Q, where P = [I, -v/b]
+    # and Q = [I; -w/b] with v = B_mi, w = B_im, b = B_ii; that bound
+    # also covers the downdate's own rounding, eps (|B_mm| + |v||w|/|b|).
+    # Factoring the minor errs by at most n eps cond(minor) |M|.
+    rng = np.random.default_rng(2024)
+    for _ in range(200):
+        n = int(rng.integers(2, 9))
+        pair = random_mmatrix_pair(rng, n)
+        b = pair.V_inv._a
+        for i in range(1, n + 1):
+            got = _downdated_minor_inverse(DiagonalRay(pair.V, i),
+                                           pair.V_inv)
+            assert got is not None
+            v_minor = minor(pair.V, i, i)._a
+            factored = inverse(minor(pair.V, i, i))._a
+            c = i - 1
+            p = 1.0 + np.abs(np.delete(b[:, c], c)).max() / abs(b[c, c])
+            q = max(1.0, np.abs(np.delete(b[c], c)).sum() / abs(b[c, c]))
+            bound = n * _EPS * (
+                _inf_norm(pair.V._a) * _inf_norm(b) ** 2 * p * q
+                + _inf_norm(v_minor) * _inf_norm(factored) ** 2)
+            assert _inf_norm(got._a - factored) <= bound
+
+
+# factoring raises these, at the parent of the downdate as now
+_MINOR_SINGULAR = (r"^the \(i, i\) minor at i=1 is singular "
+                   r"\(pivot {pivot} in minor column {column}\)$")
+_MATRIX_SINGULAR = r"^matrix is singular to working tolerance: {detail}$"
+
+
+def test_zero_pivot_downdate_raises_the_factored_errors():
+    # V = [[0, 1], [1, 0]] is its own inverse, so B_ii = 0 at i = 1
+    pair = NGMPair(Matrix([[0.5, 0.0], [0.0, 0.5]]),
+                   Matrix([[0.0, 1.0], [1.0, 0.0]]), ("a", "b"))
+    assert _downdated_minor_inverse(DiagonalRay(pair.V, 1),
+                                    pair.V_inv) is None
+    with pytest.raises(SingularMatrixError, match=_MINOR_SINGULAR.format(
+            pivot=r"0\.000e\+00", column=1)):
+        r0_removal_limit(pair, 1)
+    with pytest.raises(SingularMatrixError, match=_MATRIX_SINGULAR.format(
+            detail="zero pivot in column 1")):
+        remove_compartment(pair, 1)
+
+
+def test_near_singular_minor_is_caught_by_each_guard(monkeypatch):
+    # the (1, 1) minor [[1, 1], [1, 1 + 1e-14]] has a pivot below the
+    # singularity floor, but B_ii is about -1e-14, not zero: the growth
+    # guard and the condition guard each send it to factoring alone
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", MMatrixWarning)
+        pair = NGMPair(identity(3),
+                       Matrix([[0.0, 1.0, 0.0], [1.0, 1.0, 1.0],
+                               [0.0, 1.0, 1.0 + 1e-14]]), ("a", "b", "c"))
+    ray = DiagonalRay(pair.V, 1)
+    for guard in ("_DOWNDATE_GROWTH", "_DOWNDATE_CONDITION"):
+        with monkeypatch.context() as m:
+            m.setattr(minorlimit, guard, math.inf)
+            assert _downdated_minor_inverse(ray, pair.V_inv) is None
+            with pytest.raises(SingularMatrixError,
+                               match=_MINOR_SINGULAR.format(
+                                   pivot=r"9\.992e-15", column=2)):
+                r0_removal_limit(pair, 1)
+            with pytest.raises(SingularMatrixError,
+                               match=_MATRIX_SINGULAR.format(
+                                   detail=r"pivot 9\.992e-15 in column 2 is "
+                                          r"below the singularity threshold "
+                                          r"2\.000e-12")):
+                remove_compartment(pair, 1)
+    monkeypatch.setattr(minorlimit, "_DOWNDATE_GROWTH", math.inf)
+    monkeypatch.setattr(minorlimit, "_DOWNDATE_CONDITION", math.inf)
+    assert _downdated_minor_inverse(ray, pair.V_inv) is not None
+
+
+def test_cancelling_downdate_gives_way_to_factoring(monkeypatch):
+    # V = [[1, -1], [-1, 1 + d]] has B = [[1 + d, 1], [1, 1]] / d, so at
+    # i = 1 the downdate cancels two terms of size 1/d to 1/(1 + d)
+    d = 1e-3
+    pair = NGMPair(identity(2), Matrix([[1.0, -1.0], [-1.0, 1.0 + d]]),
+                   ("a", "b"))
+    ray = DiagonalRay(pair.V, 1)
+    assert _downdated_minor_inverse(ray, pair.V_inv) is None
+    assert remove_compartment(pair, 1).V_inv == inverse(Matrix([[1.0 + d]]))
+    monkeypatch.setattr(minorlimit, "_DOWNDATE_GROWTH", math.inf)
+    assert _downdated_minor_inverse(ray, pair.V_inv) is not None
+
+
+def test_reduced_pair_warns_where_its_inverse_has_negative_entries():
+    v = Matrix([[1.0, 0.5, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
+    with pytest.warns(MMatrixWarning):
+        pair = NGMPair(identity(3), v, ("a", "b", "c"))
+    with pytest.warns(MMatrixWarning):
+        reduced = remove_compartment(pair, 3)
+    assert reduced.V_inv == inverse(reduced.V)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        remove_compartment(pair, 1)  # the minor [[1, 0], [0, 1]]
+
+
+def test_downdate_round_off_does_not_warn():
+    # Rates near 1e-6 put V^-1 entries near 1e6. Removing a middle stage
+    # cuts the chain, and the downdate leaves round-off below
+    # -MMATRIX_TOL where the factored inverse has exact zeros.
+    j, stage = 12, 6
+    host = HostParams(1.0, 1.0,
+                      tuple(1e-6 * (1.0 + 0.05 * k) for k in range(j + 1)),
+                      (2e-8,) * j)
+    pair = build_uncoupled_ngm(host, VectorParams(1.0, 1.0, 1.0, 1e-6), j)
+    downdated = _downdated_minor_inverse(DiagonalRay(pair.V, stage),
+                                         pair.V_inv)
+    assert downdated._a.min() < -MMATRIX_TOL
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        reduced = remove_compartment(pair, stage)
+    assert reduced.V_inv == inverse(reduced.V)
+    assert reduced.V_inv._a.min() == 0.0
+
+
+def test_pair_still_takes_no_inverse_argument():
+    with pytest.raises(TypeError):
+        NGMPair(identity(2), identity(2), ("a", "b"), V_inv=identity(2))

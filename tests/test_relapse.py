@@ -69,9 +69,13 @@ def test_host_truncation():
     cut = host.truncated(2)
     assert cut.alpha == (1.0, 2.0, 3.0)
     assert cut.mu == (0.1, 0.2)
-    with pytest.raises(ValueError):
+    # the copy skips the re-check but is the value a fresh build gives
+    assert cut == HostParams(1.0, 2.0, (1.0, 2.0, 3.0), (0.1, 0.2))
+    assert host.truncated(3) == host and host.stages == 3
+    with pytest.raises(ValueError, match="^cannot truncate a 3-stage chain "
+                                         "to 0 stages$"):
         host.truncated(0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="to 4 stages$"):
         host.truncated(4)
 
 
