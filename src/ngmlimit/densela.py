@@ -6,6 +6,7 @@ operation returns a fresh matrix and never mutates its inputs.
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 from collections.abc import Iterable, Sequence
@@ -320,12 +321,18 @@ def _lu_stack(lu: np.ndarray, floors: np.ndarray, scratch: np.ndarray,
             lu[:, k + 1:, k + 1:] -= update
     swaps = (np.count_nonzero(flips, axis=0) if flips
              else np.zeros(count, dtype=np.intp))
-    # The pivots end up on the diagonal. Raising a zero floor to the
-    # smallest positive double makes one comparison catch a zero pivot.
+    # the pivots end up on the diagonal
     pivots = np.abs(diagonal[:, :, 0])
+    return perm, swaps, _first_low_pivot(pivots, floors), pivots
+
+
+def _first_low_pivot(pivots: np.ndarray, floors: np.ndarray) -> np.ndarray:
+    """The 1-based column of each member's first pivot magnitude below
+    its floor (or exactly zero), 0 where there is none. Raising a zero
+    floor to the smallest positive double makes one comparison catch a
+    zero pivot."""
     low = pivots < np.maximum(floors, _SMALLEST_POSITIVE)[:, None]
-    column = np.where(low.any(axis=1), low.argmax(axis=1) + 1, 0)
-    return perm, swaps, column, pivots
+    return np.where(low.any(axis=1), low.argmax(axis=1) + 1, 0)
 
 
 def _shared_prefix(a: np.ndarray, varying: int) -> tuple[np.ndarray, int]:
@@ -352,39 +359,43 @@ def _shared_prefix(a: np.ndarray, varying: int) -> tuple[np.ndarray, int]:
     return flat, int(swaps[0])
 
 
-def _inverse_stack(a: np.ndarray, floors: np.ndarray, varying: int = 0):
+def _inverse_stack(a: np.ndarray, floors: np.ndarray,
+                   varying: "int | None" = None):
     """Inverse of every member of a C-contiguous (B, n, n) stack.
 
-    ``a`` is overwritten by its LU factors; the inverse buffer doubles as
-    the factorization's scratch, so no third stack is allocated.
+    ``a`` is overwritten by its LU factors (the first member's only, on
+    the lower-triangular path below); the inverse buffer doubles as the
+    factorization's scratch, so no third stack is allocated.
     ``floors[b]`` is member b's pivot floor. When the members differ only
     in column ``varying`` (0-based), as the points of a diagonal ray do,
     the elimination steps before it run once (:func:`_shared_prefix`).
     Returns ``(inverses, column, pivots)`` with ``column`` and ``pivots``
     as reported by :func:`_lu_stack`; a member with a nonzero column
     comes back as NaN.
+
+    One member, or a ray whose column ``varying`` is zero off the
+    diagonal, shares L among its members. If that member is lower
+    triangular and needs no row swap (:func:`_swap_free_lower`), the
+    column loop is skipped (:func:`_lower_inverse_stack`).
     """
     count, n, _ = a.shape
+    if ((count == 1 or varying is not None
+         and not np.count_nonzero(a[:, :varying, varying])
+         and not np.count_nonzero(a[:, varying + 1:, varying]))
+            and _swap_free_lower(a[0])):
+        return _lower_inverse_stack(a, floors, varying)
     inv = np.empty_like(a)
     diagonal = a.diagonal(0, 1, 2)[:, :, None]
     with np.errstate(all="ignore"):
         perm, _ = _shared_prefix(a, varying) if varying else (None, 0)
-        perm, _, column, pivots = _lu_stack(a, floors, inv, start=varying,
-                                            perm=perm)
+        perm, _, column, pivots = _lu_stack(a, floors, inv,
+                                            start=varying or 0, perm=perm)
         # P applied to the identity, then forward and back substitution
         inv.fill(0.0)
         inv.reshape(count * n, n)[np.arange(count * n), perm % n] = 1.0
-        # A row of L or U that is zero in every member is skipped. The
-        # value it would be subtracted from is a forward value, which
-        # starts at +0 or 1 and never becomes -0, so subtracting a sum of
-        # zero products would leave it as it is. seen[k, c] counts the
-        # columns up to c where row k is nonzero in some member.
-        seen = (a != 0.0).any(axis=0).cumsum(axis=1)
-        lower = (seen.diagonal(-1) > 0).tolist()
-        upper = (seen[:, -1] > seen.diagonal()).tolist()
-        for k, nonzero in enumerate(lower, 1):
-            if nonzero:
-                inv[:, k:k + 1] -= np.matmul(a[:, k:k + 1, :k], inv[:, :k])
+        nonzero = (a != 0.0).any(axis=0)
+        _substitute_lower(a, inv, nonzero)
+        upper = (nonzero & _below(n).T).any(axis=1).tolist()
         if any(upper):
             for k in range(n - 1, -1, -1):
                 if upper[k]:
@@ -394,6 +405,92 @@ def _inverse_stack(a: np.ndarray, floors: np.ndarray, varying: int = 0):
         else:
             # U is diagonal in every member: the same divisions, at once
             inv /= diagonal
+    if np.count_nonzero(column):
+        inv[column > 0] = np.nan
+    return inv, column, pivots
+
+
+@functools.lru_cache(maxsize=16)
+def _below(n: int) -> np.ndarray:
+    """Read-only n x n mask of the entries below the diagonal; its
+    transpose masks those above. Kept for the last few sizes, which
+    recur: building one costs a few microseconds, a sizeable share of a
+    small matrix's inverse."""
+    mask = np.tri(n, k=-1, dtype=bool)
+    mask.setflags(write=False)
+    return mask
+
+
+def _substitute_lower(lu: np.ndarray, inv: np.ndarray,
+                      nonzero: np.ndarray) -> None:
+    """Forward substitution: ``inv`` becomes ``L^-1 inv`` in place, L
+    being the unit lower factor packed in the (B, n, n) stack ``lu``.
+
+    ``nonzero[k, c]`` says whether ``lu[:, k, c]`` is nonzero in some
+    member. A row of L that is zero in every member is skipped: the value
+    it would be subtracted from is a forward value, which starts at +0 or
+    1 and never becomes -0, so subtracting a sum of zero products would
+    leave it as it is.
+    """
+    below = nonzero & _below(len(nonzero))
+    for k in np.flatnonzero(below.any(axis=1)).tolist():
+        inv[:, k:k + 1] -= np.matmul(lu[:, k:k + 1, :k], inv[:, :k])
+
+
+def _swap_free_lower(a: np.ndarray) -> bool:
+    """Whether the n x n ``a`` is lower triangular with each diagonal
+    entry at least as large in magnitude as every entry below it. Partial
+    pivoting then keeps each diagonal entry (argmax takes the first of a
+    tie), every rank-one update is null and U is diag(a).
+    """
+    if np.count_nonzero(a[_below(len(a)).T]):
+        return False
+    magnitudes = np.abs(a)
+    return bool((magnitudes.max(axis=0) <= magnitudes.diagonal()).all())
+
+
+def _lower_inverse_stack(a: np.ndarray, floors: np.ndarray,
+                         varying: "int | None"):
+    """:func:`_inverse_stack` of a stack whose members share L and whose
+    first member :func:`_swap_free_lower` accepts.
+
+    The column loop would only divide each column below the diagonal by
+    its pivot; the first member's divisions are made at once, which
+    gives L. ``L^-1`` is then formed once, and each member's inverse is
+    its rows divided by that member's diagonal, as the general kernel
+    divides them. Where L is bidiagonal, each row of the forward
+    substitution has one nonzero product, so the columns of ``L^-1`` are
+    running products of the negated subdiagonal; ``+ 0.0`` turns each
+    zero into the +0 the substitution leaves. No multiplier exceeds 1 in
+    magnitude, so no product overflows. Results are bit for bit the
+    general kernel's.
+    """
+    n = a.shape[1]
+    below = _below(n)
+    diagonal = a.diagonal(0, 1, 2).copy()
+    pivots = np.abs(diagonal)
+    column = _first_low_pivot(pivots, floors)
+    lower = a[0]
+    with np.errstate(all="ignore"):
+        np.divide(lower, diagonal[0], out=lower, where=below)
+        if varying is not None:
+            # 0 / t is a zero in every member, but NaN where t is 0
+            lower[varying + 1:, varying] = 0.0
+        # a nonzero below the diagonal but off the subdiagonal: L is not
+        # bidiagonal
+        if np.count_nonzero(lower[below]) > np.count_nonzero(
+                lower.diagonal(-1)):
+            y = np.eye(n)[None]
+            _substitute_lower(lower[None], y, lower != 0.0)
+        else:
+            # column c of L^-1: 1 at row c, then at each row r below it
+            # the running product of -l_r, l_r being row r's multiplier
+            multipliers = np.zeros((n, 1))
+            multipliers[1:, 0] = lower.diagonal(-1)
+            y = np.cumprod(np.where(below, -multipliers, 1.0), axis=0)
+            y[below.T] = 0.0
+            y += 0.0
+        inv = y / diagonal[:, :, None]
     if np.count_nonzero(column):
         inv[column > 0] = np.nan
     return inv, column, pivots

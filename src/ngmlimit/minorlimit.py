@@ -25,9 +25,9 @@ from typing import Sequence
 import numpy as np
 
 from .densela import (SINGULARITY_RTOL, Matrix, _check_index,
-                      _check_positive, _inverse_stack, _require_finite,
-                      determinant, inf_norm, inverse, matmul, minor,
-                      set_entry)
+                      _check_positive, _check_real, _inverse_stack,
+                      _require_finite, determinant, inf_norm, inverse,
+                      matmul, minor, set_entry)
 from .eigen import _spectral_radii, spectral_radius
 from .errors import ConfigError, ConvergenceError, SingularMatrixError
 
@@ -89,7 +89,8 @@ class DiagonalRay:
     def at_many(self, ts: Sequence[float]) -> np.ndarray:
         """The members at every t, stacked into a fresh (len(ts), n, n)
         array that the caller owns."""
-        values = np.array([float(t) for t in ts])
+        values = np.array([_check_real("ts", t, k)
+                           for k, t in enumerate(ts)])
         if not np.isfinite(values).all():
             raise ValueError("entry value must be finite")
         stack = np.repeat(self.base._a[None], len(values), axis=0)
@@ -273,7 +274,7 @@ def row_col_decay(ray: DiagonalRay, t: float) -> tuple[float, float]:
 
     Both maxima (diagonal entry included) decay like O(1/t).
     """
-    return _row_col_maxima(ray, (t,))[0]
+    return _row_col_maxima(ray, (_check_real("t", t),))[0]
 
 
 def _row_col_maxima(ray: DiagonalRay,
@@ -389,16 +390,14 @@ def _summarize(ts, values, flags, exact):
         raise ConvergenceError(
             "every schedule point produced a singular matrix")
 
-    errors = [math.nan if v is None
-              else float(np.max(np.abs(v - exact))) for v in values]
-
-    extrapolated = []
-    for k in range(1, len(ts)):
-        if values[k - 1] is None or values[k] is None:
-            extrapolated.append(math.nan)
-            continue
-        ext = _pair_extrapolant(ts[k - 1], values[k - 1], ts[k], values[k])
-        extrapolated.append(float(np.max(np.abs(ext - exact))))
+    # One array pass over every point. A skipped point is a block of NaN,
+    # which makes NaN its error and the extrapolated errors it enters.
+    blank = np.full(np.shape(values[usable[0]]), math.nan)
+    x = np.array([blank if v is None else v for v in values])
+    t = np.array(ts).reshape((-1,) + (1,) * (x.ndim - 1))
+    errors = _max_abs_errors(x, exact)
+    extrapolated = _max_abs_errors(
+        _pair_extrapolant(t[:-1], x[:-1], t[1:], x[1:]), exact)
 
     clean = [k for k in usable if not flags[k]]
     pick = clean if len(clean) >= 2 else usable
@@ -416,6 +415,11 @@ def _summarize(ts, values, flags, exact):
         flagged=tuple(flags),
     )
     return estimate, report
+
+
+def _max_abs_errors(x: np.ndarray, exact) -> list[float]:
+    """Largest ``|x[k] - exact|`` of each point k of the stack ``x``."""
+    return np.abs(x - exact).max(axis=tuple(range(1, x.ndim))).tolist()
 
 
 def _fit_rate(ts, errors, flags) -> "float | None":

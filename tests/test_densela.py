@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ngmlimit import densela
 from ngmlimit.densela import (SINGULARITY_RTOL, Matrix, _determinant_stack,
                               _inverse_stack, determinant, identity,
                               inf_norm, inverse, matmul, minor, set_entry)
@@ -540,6 +541,156 @@ def test_failed_member_inside_a_skipped_region():
         assert np.isnan(inverses[b]).all()
     for b in (0, 2, 4):
         assert same_bits(inverses[b], loop_inverse(stack[b]))
+
+
+# ---------------------------------------------------------------------------
+# swap-free lower-triangular stacks: no column loop, one L^-1 per ray
+
+def both_kernels(monkeypatch, stack, varying=None):
+    """``_inverse_stack`` of ``stack`` as it runs and with the
+    lower-triangular path switched off. Returns both results and whether
+    the first one took that path."""
+    taken = []
+    lower_path = densela._lower_inverse_stack
+
+    def spy(*args):
+        taken.append(True)
+        return lower_path(*args)
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")            # failed members stay quiet
+        with monkeypatch.context() as m:
+            m.setattr(densela, "_lower_inverse_stack", spy)
+            got = _inverse_stack(stack.copy(), stack_floors(stack), varying)
+        with monkeypatch.context() as m:
+            m.setattr(densela, "_swap_free_lower", lambda a: False)
+            general = _inverse_stack(stack.copy(), stack_floors(stack),
+                                     varying)
+    return got, general, bool(taken)
+
+
+def assert_same_results(got, general):
+    """Inverses, failing columns and pivots equal to the bit."""
+    for x, y in zip(got, general):
+        assert same_bits(x, y)
+
+
+RAY_TS = [-2.0, 0.5, 3.0, 7.0, 1e3, 1e9]
+
+
+@pytest.mark.parametrize("j", [1, 2, 10, 40])
+def test_relapse_v_and_last_stage_ray_take_the_lower_path(monkeypatch, j):
+    stack = ladder_v_schedule(j)
+    for member, varying in ((stack[:1], None), (stack, j - 1)):
+        got, general, taken = both_kernels(monkeypatch, member, varying)
+        assert taken
+        assert not got[1].any()
+        assert_same_results(got, general)
+        for m, inv in zip(member, got[0]):
+            assert same_bits(inv, loop_inverse(m))
+
+
+@pytest.mark.parametrize("j", [3, 10])
+def test_first_and_middle_stage_rays_take_the_general_kernel(monkeypatch, j):
+    v = ladder_v_schedule(j)[0]
+    for c in (0, j // 2):
+        stack = ray_stack(v, c, RAY_TS)
+        got, general, taken = both_kernels(monkeypatch, stack, c)
+        assert not taken
+        assert_same_results(got, general)
+        for member, inv in zip(stack, got[0]):
+            assert same_bits(inv, loop_inverse(member))
+
+
+def test_non_bidiagonal_lower_triangle_substitutes_by_rows(monkeypatch):
+    rng = np.random.default_rng(91)
+    for n in (3, 6, 13, 30):
+        base = np.tril(rng.uniform(-1.0, 1.0, (n, n))) + 3.0 * np.eye(n)
+        # a sink in the middle: column c zero below the diagonal
+        c = n // 2
+        sink = base.copy()
+        sink[c + 1:, c] = 0.0
+        for stack, varying in ((base[None], None),
+                               (ray_stack(base, n - 1, RAY_TS), n - 1),
+                               (ray_stack(sink, c, RAY_TS), c)):
+            got, general, taken = both_kernels(monkeypatch, stack, varying)
+            assert taken
+            assert not got[1].any()
+            assert_same_results(got, general)
+            for member, inv in zip(stack, got[0]):
+                assert same_bits(inv, loop_inverse(member))
+
+
+def test_lower_triangle_needing_a_swap_takes_the_general_kernel(monkeypatch):
+    # column 1's subdiagonal outweighs its diagonal: pivoting swaps rows
+    v = np.array([[1.0, 0.0, 0.0], [3.0, 2.0, 0.0], [0.0, 1.0, 4.0]])
+    for stack, varying in ((v[None], None), (ray_stack(v, 2, RAY_TS), 2)):
+        got, general, taken = both_kernels(monkeypatch, stack, varying)
+        assert not taken
+        assert_same_results(got, general)
+        for member, inv in zip(stack, got[0]):
+            assert same_bits(inv, loop_inverse(member))
+
+
+def test_ray_varying_above_the_diagonal_takes_the_general_kernel(
+        monkeypatch):
+    # members may differ anywhere in column c: one with an entry above
+    # the diagonal there is not triangular, although the first member is
+    v = ladder_v_schedule(3)[0]
+    stack = ray_stack(v, 2, RAY_TS)
+    stack[1, 0, 2] = 0.5
+    got, general, taken = both_kernels(monkeypatch, stack, 2)
+    assert not taken
+    for member, inv in zip(stack, got[0]):
+        assert same_bits(inv, loop_inverse(member))
+
+
+def test_pivot_tie_keeps_the_diagonal(monkeypatch):
+    for rows in ([[2.0, 0.0], [-2.0, 3.0]],
+                 [[-2.0, 0.0, 0.0], [2.0, 1.0, 0.0], [0.5, -1.0, 5.0]]):
+        v = np.array(rows)
+        got, general, taken = both_kernels(monkeypatch, v[None])
+        assert taken
+        assert_same_results(got, general)
+        assert same_bits(got[0][0], loop_inverse(v))
+
+
+def test_zero_pivot_raises_the_general_kernels_error(monkeypatch):
+    cases = [
+        [[1.0, 0.0, 0.0], [0.5, 0.0, 0.0], [0.0, 0.0, 2.0]],   # zero, col 2
+        [[0.0, 0.0], [0.0, 1.0]],                            # zero, col 1
+        [[1.0, 0.0], [0.5, 1e-14]],                          # below floor
+    ]
+    for rows in cases:
+        errors = []
+        for switch_off in (False, True):
+            with monkeypatch.context() as m:
+                if switch_off:
+                    m.setattr(densela, "_swap_free_lower", lambda a: False)
+                with pytest.raises(SingularMatrixError) as info:
+                    inverse(Matrix(rows))
+            errors.append((str(info.value), info.value.pivot,
+                           info.value.column))
+        assert errors[0] == errors[1]
+        got, general, taken = both_kernels(monkeypatch, np.array(rows)[None])
+        assert taken
+        assert_same_results(got, general)
+
+
+def test_member_singular_at_its_own_t_on_a_shared_ray(monkeypatch):
+    # t = 0 at a last stage: 0 / 0 in that member's L, which the members
+    # sharing L must not see
+    j = 10
+    v = ladder_v_schedule(j)[0]
+    for ts in ([0.0, 5.0, 1e6], [5.0, 0.0, 1e6]):
+        stack = ray_stack(v, j - 1, ts)
+        got, general, taken = both_kernels(monkeypatch, stack, j - 1)
+        assert taken
+        assert got[1].tolist() == [j if t == 0.0 else 0 for t in ts]
+        assert_same_results(got, general)
+        for member, inv, t in zip(stack, got[0], ts):
+            if t:
+                assert same_bits(inv, loop_inverse(member))
 
 
 def ray_determinant_cases():

@@ -11,7 +11,7 @@ from ngmlimit.minorlimit import (ConvergenceReport, DiagonalRay,
                                  det_affine_coeffs, exact_minor_inverse,
                                  limit_minor_inverse, richardson,
                                  row_col_decay, spectral_limit,
-                                 _row_col_maxima)
+                                 _row_col_maxima, _summarize)
 from ngmlimit.eigen import spectral_radius
 from ngmlimit.relapse import HostParams, VectorParams, build_coupled_ngm
 
@@ -72,6 +72,22 @@ def test_ray_at_many_stacks_the_members():
         ray.at_many((1.0, float("inf")))
 
 
+def test_ray_values_must_be_real_numbers():
+    ray = DiagonalRay(Matrix([[2.0, 1.0], [1.0, 3.0]]), 1)
+    for bad in (True, "2"):
+        with pytest.raises(ConfigError) as info:
+            ray.at_many((1.0, bad))
+        assert info.value.field == "ts[1]"
+        with pytest.raises(ConfigError) as info:
+            row_col_decay(ray, bad)
+        assert info.value.field == "t"
+        with pytest.raises(ConfigError):
+            ray.at(bad)
+    with pytest.raises(ValueError, match="finite"):
+        row_col_decay(ray, float("inf"))
+    assert row_col_decay(ray, 2) == row_col_decay(ray, 2.0)
+
+
 def test_report_validation():
     with pytest.raises(ValueError):
         ConvergenceReport((), (), (), None, ())
@@ -90,6 +106,48 @@ def test_default_schedule_decades():
     sched = default_schedule(identity(3))
     assert sched == tuple(10.0 ** k for k in range(1, 9))
     assert default_schedule(2.0 * identity(2), 1, 3) == (20.0, 200.0, 2000.0)
+
+
+def loop_summary_errors(ts, values, exact):
+    """Reference: each point's error and each adjacent pair's
+    extrapolated error, one point at a time."""
+    errors = [math.nan if v is None else float(np.max(np.abs(v - exact)))
+              for v in values]
+    extrapolated = []
+    for k in range(1, len(ts)):
+        if values[k - 1] is None or values[k] is None:
+            extrapolated.append(math.nan)
+            continue
+        ext = ((ts[k] * values[k] - ts[k - 1] * values[k - 1])
+               / (ts[k] - ts[k - 1]))
+        extrapolated.append(float(np.max(np.abs(ext - exact))))
+    return errors, extrapolated
+
+
+def test_summary_errors_equal_the_per_point_loop():
+    rng = np.random.default_rng(29)
+    ts = tuple(10.0 ** (1.0 + np.arange(12) / 4.0))
+    exact_matrix = rng.uniform(-1.0, 1.0, (4, 4))
+    cases = [
+        ([1.0 + 1.0 / t + float(rng.normal()) * 1e-15 for t in ts], 0.75),
+        ([exact_matrix + rng.uniform(-1.0, 1.0, (4, 4)) / t for t in ts],
+         exact_matrix),
+    ]
+    for values, exact in cases:
+        for skipped in ((), (0,), (3, 4), (11,), (1, 5, 6, 10)):
+            points = [None if k in skipped else v
+                      for k, v in enumerate(values)]
+            flags = [v is None for v in points]
+            _, report = _summarize(ts, points, flags, exact)
+            errors, extrapolated = loop_summary_errors(ts, points, exact)
+            assert [e.hex() for e in report.errors] == \
+                [e.hex() for e in errors]
+            assert [e.hex() for e in report.extrapolated_errors] == \
+                [e.hex() for e in extrapolated]
+            assert all(type(e) is float for e in
+                       report.errors + report.extrapolated_errors)
+    _, single = _summarize((5.0,), [0.5], [False], 0.25)
+    assert single.errors == (0.25,) and single.extrapolated_errors == ()
 
 
 # ---------------------------------------------------------------------------
