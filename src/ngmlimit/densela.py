@@ -373,17 +373,19 @@ def _inverse_stack(a: np.ndarray, floors: np.ndarray,
     as reported by :func:`_lu_stack`; a member with a nonzero column
     comes back as NaN.
 
-    One member, or a ray whose column ``varying`` is zero off the
-    diagonal, shares L among its members. If that member is lower
-    triangular and needs no row swap (:func:`_swap_free_lower`), the
-    column loop is skipped (:func:`_lower_inverse_stack`).
+    A ray whose column ``varying`` is zero off the diagonal shares L
+    among its members, and so does a stack of one. If the first member
+    is lower triangular and needs no row swap (:func:`_swap_free_lower`),
+    the column loop is skipped (:func:`_lower_inverse_stack`); a single
+    member whose column ``varying`` is not zero below the diagonal goes
+    there as a plain matrix, its multipliers in that column kept.
     """
     count, n, _ = a.shape
-    if ((count == 1 or varying is not None
-         and not np.count_nonzero(a[:, :varying, varying])
-         and not np.count_nonzero(a[:, varying + 1:, varying]))
-            and _swap_free_lower(a[0])):
-        return _lower_inverse_stack(a, floors, varying)
+    sink = (varying is not None
+            and not np.count_nonzero(a[:, :varying, varying])
+            and not np.count_nonzero(a[:, varying + 1:, varying]))
+    if (count == 1 or sink) and _swap_free_lower(a[0]):
+        return _lower_inverse_stack(a, floors, varying if sink else None)
     inv = np.empty_like(a)
     diagonal = a.diagonal(0, 1, 2)[:, :, None]
     with np.errstate(all="ignore"):

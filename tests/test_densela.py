@@ -602,6 +602,26 @@ def test_first_and_middle_stage_rays_take_the_general_kernel(monkeypatch, j):
             assert same_bits(inv, loop_inverse(member))
 
 
+@pytest.mark.parametrize("j", [3, 10])
+def test_one_point_rays_keep_their_varying_column(monkeypatch, j):
+    # a ray of one member shares L with no other: at a first or middle
+    # stage its column c holds multipliers below the diagonal, which the
+    # lower path must keep (a one-value schedule inverts such a stack)
+    v = ladder_v_schedule(j)[0]
+    rng = np.random.default_rng(j)
+    triangle = np.tril(rng.uniform(-1.0, 1.0, (j, j))) + 3.0 * np.eye(j)
+    for base in (v, triangle):
+        for c in (0, j // 2):
+            assert np.count_nonzero(base[c + 1:, c])
+            for t in (3.0, 1e3, 1e9):
+                stack = ray_stack(base, c, [t])
+                got, general, taken = both_kernels(monkeypatch, stack, c)
+                assert taken
+                assert not got[1].any()
+                assert_same_results(got, general)
+                assert same_bits(got[0][0], loop_inverse(stack[0]))
+
+
 def test_non_bidiagonal_lower_triangle_substitutes_by_rows(monkeypatch):
     rng = np.random.default_rng(91)
     for n in (3, 6, 13, 30):

@@ -11,7 +11,8 @@ from ngmlimit.minorlimit import (ConvergenceReport, DiagonalRay,
                                  det_affine_coeffs, exact_minor_inverse,
                                  limit_minor_inverse, richardson,
                                  row_col_decay, spectral_limit,
-                                 _row_col_maxima, _summarize)
+                                 _invert_schedule, _row_col_maxima,
+                                 _summarize)
 from ngmlimit.eigen import spectral_radius
 from ngmlimit.relapse import HostParams, VectorParams, build_coupled_ngm
 
@@ -400,6 +401,35 @@ def test_row_col_decay_decade_ratio():
     r7, c7 = row_col_decay(ray, 1e7)
     assert r7 / r6 == pytest.approx(0.1, abs=0.01)
     assert c7 / c6 == pytest.approx(0.1, abs=0.01)
+
+
+def test_row_col_decay_keeps_the_multiplier_below_its_entry():
+    # A(10)^-1 = [[0.1, 0], [10, 100]]: column 1 holds 1 / (10 * 0.01)
+    ray = DiagonalRay(Matrix([[1.0, 0.0], [-1.0, 0.01]]), 1)
+    assert row_col_decay(ray, 10.0) == (0.1, 10.0)
+
+
+def test_one_point_schedule_inverts_as_a_point_of_a_longer_one():
+    # a schedule of one value inverts a stack of one; at every stage of a
+    # coupled relapse V it must give the bits that point gets in a longer
+    # schedule, first and middle stages (multipliers below t) included
+    rng = np.random.default_rng(17)
+
+    def host():
+        return HostParams(c=1.0, s_bar=1.0,
+                          alpha=tuple(rng.uniform(0.1, 3.0, 4)),
+                          mu=tuple(rng.uniform(0.1, 3.0, 3)))
+
+    vec = VectorParams(f=1.0, c_v=1.0, s_v_bar=1.0, mu_tilde=0.7)
+    v = build_coupled_ngm(host(), host(), vec, 3, 3).V
+    ts = DECADES_2_8
+    for i in range(1, v.rows + 1):
+        ray = DiagonalRay(v, i)
+        together = _invert_schedule(ray, ts)[0]
+        for t, expected in zip(ts, together):
+            alone = _invert_schedule(ray, (t,))[0][0]
+            assert alone.tobytes() == expected.tobytes()
+            assert _row_col_maxima(ray, (t,))[0] == row_col_decay(ray, t)
 
 
 def test_row_col_decay_zero_off_diagonal_is_exact():
