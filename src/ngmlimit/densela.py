@@ -160,10 +160,15 @@ def _require_square(a: Matrix, what: str) -> None:
 
 # Input checks. Each raises ConfigError (a ValueError) naming the input.
 
-def _check_index(name: str, value: int, upper: int) -> None:
-    """``value`` must be a 1-based integer index, at most ``upper``."""
+def _check_integer(name: str, value) -> None:
+    """``value`` must be an integer; bool is refused."""
     if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
         raise ConfigError(name, f"must be an integer, got {value!r}")
+
+
+def _check_index(name: str, value: int, upper: int) -> None:
+    """``value`` must be a 1-based integer index, at most ``upper``."""
+    _check_integer(name, value)
     if not 1 <= value <= upper:
         raise ConfigError(name, f"must be in 1..{upper}, got {value}")
 

@@ -25,9 +25,9 @@ from typing import Sequence
 import numpy as np
 
 from .densela import (SINGULARITY_RTOL, Matrix, _check_index,
-                      _check_positive, _check_real, _inverse_stack,
-                      _require_finite, determinant, inf_norm, inverse,
-                      matmul, minor, set_entry)
+                      _check_integer, _check_positive, _check_real,
+                      _inverse_stack, _require_finite, determinant,
+                      inf_norm, inverse, matmul, minor, set_entry)
 from .eigen import _spectral_radii, spectral_radius
 from .errors import ConfigError, ConvergenceError, SingularMatrixError
 
@@ -154,13 +154,20 @@ def default_schedule(base: Matrix, first_decade: int = 1,
     Geometric spacing samples log-t uniformly, which is what the
     rate fit wants for an O(1/t) error.
     """
+    _check_integer("first_decade", first_decade)
+    _check_integer("last_decade", last_decade)
     if last_decade < first_decade:
-        raise ValueError("empty decade range")
+        raise ConfigError("last_decade", f"must be at least first_decade "
+                                         f"{first_decade}, got {last_decade}")
     scale = inf_norm(base)
     if scale == 0.0:
         scale = 1.0
-    return tuple(scale * 10.0 ** k
-                 for k in range(first_decade, last_decade + 1))
+    try:
+        return tuple(scale * 10.0 ** k
+                     for k in range(first_decade, last_decade + 1))
+    except OverflowError:
+        raise ConfigError("last_decade", f"10**{last_decade} is beyond "
+                                         f"the float range") from None
 
 
 def det_affine_coeffs(ray: DiagonalRay) -> tuple[float, float]:
@@ -250,8 +257,10 @@ def richardson(x_t: Matrix, x_2t: Matrix, ratio: float = 2.0) -> Matrix:
     if x_t.shape != x_2t.shape:
         raise ValueError(f"iterates must share a shape, got "
                          f"{x_t.shape} and {x_2t.shape}")
-    if not ratio > 1.0:
-        raise ValueError("ratio must exceed 1")
+    ratio = _check_real("ratio", ratio)
+    if not 1.0 < ratio < math.inf:
+        raise ConfigError("ratio", f"must be finite and exceed 1, "
+                                   f"got {ratio!r}")
     return Matrix._wrap(_pair_extrapolant(1.0, x_t._a, ratio, x_2t._a))
 
 
@@ -353,9 +362,13 @@ def _spectral_limit(f: Matrix, v_ray: DiagonalRay, minor_inverse: Matrix,
     # rebinding frees the full stack, so at most two stacks are alive
     inverses = inverses[usable]
     _require_finite(inverses)
-    products = np.matmul(f._a, inverses)
+    # F A(t)^-1 is zero outside F's nonzero rows R, so its nonzero
+    # eigenvalues are those of its (R, R) block
+    rows = np.flatnonzero(f._a.any(axis=1))
+    products = np.matmul(f._a[rows], inverses)
     _require_finite(products)
-    radii = iter(_spectral_radii(products))
+    radii = iter(_spectral_radii(np.ascontiguousarray(products[:, :, rows]))
+                 if len(rows) else [0.0] * len(inverses))
     values = [next(radii) if ok else None for ok in usable]
     estimate, report = _summarize(ts, values, flags, float(target))
     return float(estimate), report

@@ -6,7 +6,7 @@ import pytest
 from ngmlimit.densela import (Matrix, identity, inf_norm, inverse, matmul,
                               minor, determinant)
 from ngmlimit.errors import ConfigError, ConvergenceError, SingularMatrixError
-from ngmlimit.minorlimit import (ConvergenceReport, DiagonalRay,
+from ngmlimit.minorlimit import (_EPS, ConvergenceReport, DiagonalRay,
                                  assemble_limit_inverse, default_schedule,
                                  det_affine_coeffs, exact_minor_inverse,
                                  limit_minor_inverse, richardson,
@@ -107,6 +107,21 @@ def test_default_schedule_decades():
     sched = default_schedule(identity(3))
     assert sched == tuple(10.0 ** k for k in range(1, 9))
     assert default_schedule(2.0 * identity(2), 1, 3) == (20.0, 200.0, 2000.0)
+
+
+@pytest.mark.parametrize("first, last, field", [
+    (1, "8", "last_decade"),
+    (True, 2, "first_decade"),
+    (1.0, 3, "first_decade"),
+    (3, 2, "last_decade"),          # empty range
+    (1, 400, "last_decade"),        # 10**400 overflows a float
+])
+def test_default_schedule_rejects_bad_decades(first, last, field):
+    with pytest.raises(ConfigError) as exc:
+        default_schedule(identity(2), first, last)
+    assert exc.value.field == field
+    assert default_schedule(identity(2), np.int64(1), np.int64(2)) == \
+        (10.0, 100.0)
 
 
 def loop_summary_errors(ts, values, exact):
@@ -299,17 +314,98 @@ def random_ray_case(n: int):
     return Matrix._wrap(rng.uniform(-1.0, 1.0, (n, n))), ray
 
 
+def single_row_case():
+    """A dense ray and an F with one nonzero row r: F A(t)^-1 is zero
+    outside row r, and its radius is |(F A(t)^-1)[r, r]|."""
+    f, ray = random_ray_case(6)
+    a = np.zeros(f.shape)
+    a[2] = f._a[2]
+    return Matrix._wrap(a), ray
+
+
+def radius_condition(k: np.ndarray) -> float:
+    """Condition number ``|x| |y| / |y^H x|`` of the eigenvalue of ``k``
+    of largest modulus, x and y its right and left eigenvectors."""
+    values, right = np.linalg.eig(k)
+    top = int(np.argmax(np.abs(values)))
+    left_values, left = np.linalg.eig(k.T)
+    match = int(np.argmin(np.abs(left_values - values[top])))
+    x, y = right[:, top], left[:, match]
+    return float(np.linalg.norm(x) * np.linalg.norm(y) / abs(y @ x))
+
+
 @pytest.mark.parametrize("f, ray", [relapse_ray_case(3),
                                     relapse_ray_case(10),
                                     random_ray_case(6),
-                                    random_ray_case(9)])
+                                    random_ray_case(9),
+                                    (Matrix._wrap(np.zeros((7, 7))),
+                                     relapse_ray_case(3)[1]),
+                                    single_row_case(),
+                                    relapse_ray_case(40)])
 def test_stacked_radii_equal_one_matrix_spectral_radii(f, ray):
     schedule = tuple(inf_norm(ray.base) * 10.0 ** (q / 4.0)
                      for q in range(29))
     _, report = spectral_limit(f, ray, schedule, target=0.0)
-    expected = tuple(spectral_radius(matmul(f, inverse(ray.at(t))))
-                     for t in schedule)
-    assert report.errors == expected
+    rows = np.flatnonzero(f.to_numpy().any(axis=1))
+    if len(rows) == 0:
+        assert report.errors == (0.0,) * len(schedule)
+        assert all(spectral_radius(matmul(f, inverse(ray.at(t)))) == 0.0
+                   for t in schedule)
+        return
+    f_rows = Matrix._wrap(f.to_numpy()[rows])
+    for t, radius in zip(schedule, report.errors):
+        x = inverse(ray.at(t))
+        product = matmul(f, x)
+        full = spectral_radius(product)
+        if len(rows) == f.rows:
+            # a dense F: R is every row, and the bits must not move
+            assert radius == full
+        # F A(t)^-1 is zero outside the rows R, so its nonzero
+        # eigenvalues are exactly those of its (R, R) block
+        block = matmul(f_rows, x).to_numpy()[:, rows]
+        assert radius == spectral_radius(Matrix._wrap(block))
+        # Against the full product, in rounding: each product is within
+        # n eps |F| |X| of exact (entrywise), and LAPACK returns the exact
+        # eigenvalues of K + E with |E|_2 <= p(n) eps |K|_2, p(n) taken as
+        # n. Both are below n eps || |F| |X| ||_2, and to first order a
+        # simple eigenvalue of condition kappa moves by kappa times that.
+        k = product.to_numpy()
+        scale = f.rows * _EPS * np.linalg.norm(np.abs(f._a) @ np.abs(x._a), 2)
+        tol = 2.0 * scale * (radius_condition(k)
+                             + radius_condition(k[np.ix_(rows, rows)]))
+        assert abs(radius - full) <= tol
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+def test_spectral_limit_overflow_outside_the_block_raises():
+    # F's one nonzero row R = {1} meets A(t)^-1 = diag(1/t, 2): the (R, R)
+    # block 1/t is finite, but column 2 of F[R] A(t)^-1 is 1.5e308 * 2, which
+    # overflows; the finiteness check covers every column, as it did when
+    # the whole product was formed
+    f = Matrix([[1.0, 1.5e308], [0.0, 0.0]])
+    ray = DiagonalRay(Matrix([[1.0, 0.0], [0.0, 0.5]]), 1)
+    with pytest.raises(ValueError, match="must be finite"):
+        spectral_limit(f, ray, DECADES_2_8, target=0.0)
+
+
+def test_spectral_limit_block_still_pairs_conjugates(monkeypatch):
+    # a block whose eigenvalues are not closed under conjugation raises
+    # the pairing ConvergenceError, as the full product did
+    import ngmlimit.eigen as eigen
+    real_eigvals = eigen._eigvals
+    shapes = []
+
+    def unpaired(stack):
+        shapes.append(stack.shape)
+        values = real_eigvals(stack).astype(complex)
+        values[-1, 0] = 1.0 + 1.0j
+        return values
+
+    f, ray = relapse_ray_case(10)
+    monkeypatch.setattr(eigen, "_eigvals", unpaired)
+    with pytest.raises(ConvergenceError, match="not closed under"):
+        spectral_limit(f, ray, DECADES_2_8, target=0.0)
+    assert shapes == [(len(DECADES_2_8), 3, 3)]
 
 
 def test_random_ray_cases_have_complex_spectra():
@@ -474,6 +570,16 @@ def test_richardson_rejects_mismatched_shapes_and_ratio():
         richardson(identity(2), identity(3))
     with pytest.raises(ValueError):
         richardson(identity(2), identity(2), ratio=1.0)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("ratio", ["3", True, math.inf, math.nan, 1.0, 0.5])
+def test_richardson_rejects_bad_ratios_by_name(ratio):
+    with pytest.raises(ConfigError) as exc:
+        richardson(identity(2), identity(2), ratio)
+    assert exc.value.field == "ratio"
+    assert richardson(identity(2), 2.0 * identity(2), 3) == \
+        Matrix([[2.5, 0.0], [0.0, 2.5]])
 
 
 # ---------------------------------------------------------------------------
