@@ -461,46 +461,55 @@ def _lower_inverse_stack(a: np.ndarray, floors: np.ndarray,
     """:func:`_inverse_stack` of a stack whose members share L and whose
     first member :func:`_swap_free_lower` accepts.
 
-    The column loop would only divide each column below the diagonal by
-    its pivot; the first member's divisions are made at once, which
-    gives L. ``L^-1`` is then formed once, and each member's inverse is
-    its rows divided by that member's diagonal, as the general kernel
-    divides them. Where L is bidiagonal, each row of the forward
-    substitution has one nonzero product, so the columns of ``L^-1`` are
-    running products of the negated subdiagonal; ``+ 0.0`` turns each
-    zero into the +0 the substitution leaves. No multiplier exceeds 1 in
-    magnitude, so no product overflows. Results are bit for bit the
-    general kernel's.
+    ``L^-1`` is formed once (:func:`_unit_lower_inverse`), and each
+    member's inverse is its rows divided by that member's diagonal, as
+    the general kernel divides them. Results are bit for bit the general
+    kernel's.
     """
-    n = a.shape[1]
-    below = _below(n)
     diagonal = a.diagonal(0, 1, 2).copy()
     pivots = np.abs(diagonal)
     column = _first_low_pivot(pivots, floors)
-    lower = a[0]
     with np.errstate(all="ignore"):
-        np.divide(lower, diagonal[0], out=lower, where=below)
-        if varying is not None:
-            # 0 / t is a zero in every member, but NaN where t is 0
-            lower[varying + 1:, varying] = 0.0
-        # a nonzero below the diagonal but off the subdiagonal: L is not
-        # bidiagonal
-        if np.count_nonzero(lower[below]) > np.count_nonzero(
-                lower.diagonal(-1)):
-            y = np.eye(n)[None]
-            _substitute_lower(lower[None], y, lower != 0.0)
-        else:
-            # column c of L^-1: 1 at row c, then at each row r below it
-            # the running product of -l_r, l_r being row r's multiplier
-            multipliers = np.zeros((n, 1))
-            multipliers[1:, 0] = lower.diagonal(-1)
-            y = np.cumprod(np.where(below, -multipliers, 1.0), axis=0)
-            y[below.T] = 0.0
-            y += 0.0
-        inv = y / diagonal[:, :, None]
+        inv = _unit_lower_inverse(a[0], varying) / diagonal[:, :, None]
     if np.count_nonzero(column):
         inv[column > 0] = np.nan
     return inv, column, pivots
+
+
+def _unit_lower_inverse(lower: np.ndarray,
+                        varying: "int | None") -> np.ndarray:
+    """``L^-1``, L being the unit lower factor of the n x n ``lower``,
+    which :func:`_swap_free_lower` accepts; ``lower`` is overwritten by L.
+
+    The column loop would only divide each column below the diagonal by
+    its pivot; those divisions are made at once. Column ``varying`` is
+    zero below the diagonal in every member of a ray's stack, and is set
+    so here, where its own pivot may be zero. Where L is bidiagonal, each
+    row of the forward substitution has one nonzero product, so the
+    columns of ``L^-1`` are running products of the negated subdiagonal;
+    ``+ 0.0`` turns each zero into the +0 the substitution leaves. No
+    multiplier exceeds 1 in magnitude, so no product overflows. A zero
+    pivot makes NaN; callers silence the warnings that raises.
+    """
+    n = len(lower)
+    below = _below(n)
+    np.divide(lower, lower.diagonal().copy(), out=lower, where=below)
+    if varying is not None:
+        lower[varying + 1:, varying] = 0.0
+    # a nonzero below the diagonal but off the subdiagonal: L is not
+    # bidiagonal
+    if np.count_nonzero(lower[below]) > np.count_nonzero(lower.diagonal(-1)):
+        y = np.eye(n)[None]
+        _substitute_lower(lower[None], y, lower != 0.0)
+        return y[0]
+    # column c of L^-1: 1 at row c, then at each row r below it the
+    # running product of -l_r, l_r being row r's multiplier
+    multipliers = np.zeros((n, 1))
+    multipliers[1:, 0] = lower.diagonal(-1)
+    y = np.cumprod(np.where(below, -multipliers, 1.0), axis=0)
+    y[below.T] = 0.0
+    y += 0.0
+    return y
 
 
 def determinant(a: Matrix) -> float:

@@ -26,7 +26,8 @@ import numpy as np
 
 from .densela import (SINGULARITY_RTOL, Matrix, _check_index,
                       _check_integer, _check_positive, _check_real,
-                      _inverse_stack, _require_finite, determinant,
+                      _first_low_pivot, _inverse_stack, _require_finite,
+                      _swap_free_lower, _unit_lower_inverse, determinant,
                       inf_norm, inverse, matmul, minor, set_entry)
 from .eigen import _spectral_radii, spectral_radius
 from .errors import ConfigError, ConvergenceError, SingularMatrixError
@@ -352,26 +353,82 @@ def _spectral_limit(f: Matrix, v_ray: DiagonalRay, minor_inverse: Matrix,
                     schedule: "Sequence[float] | None",
                     target: "float | None") -> tuple[float, ConvergenceReport]:
     """:func:`spectral_limit`, given the inverse of the ray's (i, i) minor,
-    from which the target comes when none is given."""
+    from which the target comes when none is given. A given target is a
+    spectral radius: a finite real number, at least zero."""
     if target is None:
         target = spectral_radius(
             matmul(minor(f, v_ray.i, v_ray.i), minor_inverse))
+    else:
+        target = _check_real("target", target)
+        if not 0.0 <= target < math.inf:
+            raise ConfigError("target", f"must be finite and at least 0, "
+                                        f"got {target!r}")
     ts = _validate_schedule(schedule if schedule is not None
                             else default_schedule(v_ray.base))
-    inverses, usable, flags = _invert_schedule(v_ray, ts)
-    # rebinding frees the full stack, so at most two stacks are alive
-    inverses = inverses[usable]
-    _require_finite(inverses)
     # F A(t)^-1 is zero outside F's nonzero rows R, so its nonzero
     # eigenvalues are those of its (R, R) block
     rows = np.flatnonzero(f._a.any(axis=1))
-    products = np.matmul(f._a[rows], inverses)
+    factored = _last_stage_schedule(v_ray, ts)
+    if factored is None:
+        inverses, usable, flags = _invert_schedule(v_ray, ts)
+        # rebinding frees the full stack, so at most two stacks are alive
+        inverses = inverses[usable]
+        _require_finite(inverses)
+        products = np.matmul(f._a[rows], inverses)
+    else:
+        # the rows other than i are the minor's inverse bordered by
+        # zeros, which the caller has checked finite
+        kept, last, usable, flags = factored
+        _require_finite(last)
+        c = v_ray.i - 1
+        f_rows = f._a[rows]
+        # the other rows' product is shared; row i's term is added last,
+        # as the full product sums it where row i holds the last nonzero
+        # of each column (a chain's last stage)
+        products = (np.delete(f_rows, c, axis=1) @ kept
+                    + f_rows[:, c, None] * last[:, None])
     _require_finite(products)
     radii = iter(_spectral_radii(np.ascontiguousarray(products[:, :, rows]))
-                 if len(rows) else [0.0] * len(inverses))
+                 if len(rows) else [0.0] * len(products))
     values = [next(radii) if ok else None for ok in usable]
-    estimate, report = _summarize(ts, values, flags, float(target))
+    estimate, report = _summarize(ts, values, flags, target)
     return float(estimate), report
+
+
+def _last_stage_schedule(ray: DiagonalRay, ts: Sequence[float]):
+    """:func:`_invert_schedule` of a ray whose column i is zero off the
+    diagonal and whose base :func:`_swap_free_lower` accepts (a chain's
+    last stage), without the stack of inverses; None for any other ray.
+
+    Each point is then ``A(t) = L D(t)``, L shared and D(t) its diagonal,
+    so ``A(t)^-1 = D(t)^-1 L^-1`` differs between points in row i alone.
+    Returns the rows other than i of every ``A(t)^-1`` (n - 1 x n), row i
+    at each usable point, and each point's usable and flag, from the
+    values and reductions :func:`_invert_schedule` takes: row i of
+    ``|A(t)|`` and of ``|A(t)^-1|`` per point, every other row's sum once.
+    """
+    a = ray.base._a
+    c = ray.i - 1
+    if (np.count_nonzero(a[:c, c]) or np.count_nonzero(a[c + 1:, c])
+            or not _swap_free_lower(a)):
+        return None
+    keep = np.delete(np.arange(len(a)), c)
+    diagonal = np.repeat(a.diagonal()[None], len(ts), axis=0)
+    diagonal[:, c] = ts
+    magnitudes = np.abs(a)
+    row = np.repeat(magnitudes[c, None], len(ts), axis=0)
+    row[:, c] = ts
+    norms = np.maximum(magnitudes[keep].sum(axis=1).max(), row.sum(axis=1))
+    floors = SINGULARITY_RTOL * norms
+    usable = _first_low_pivot(np.abs(diagonal), floors) == 0
+    with np.errstate(all="ignore"):
+        y = _unit_lower_inverse(a.copy(), c)
+        kept = y[keep] / a.diagonal()[keep, None]
+        last = y[c] / diagonal[:, c, None]
+    inverse_norms = np.maximum(np.abs(kept).sum(axis=1).max(),
+                               np.abs(last).sum(axis=1))
+    flags = ~usable | (norms * inverse_norms > CONDITION_GUARD)
+    return kept, last[usable], usable.tolist(), flags.tolist()
 
 
 def _invert_schedule(ray: DiagonalRay, ts: Sequence[float]):

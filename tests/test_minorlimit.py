@@ -3,17 +3,19 @@ import math
 import numpy as np
 import pytest
 
+from ngmlimit import densela, minorlimit
 from ngmlimit.densela import (Matrix, identity, inf_norm, inverse, matmul,
-                              minor, determinant)
+                              minor, determinant, set_entry)
 from ngmlimit.errors import ConfigError, ConvergenceError, SingularMatrixError
 from ngmlimit.minorlimit import (_EPS, ConvergenceReport, DiagonalRay,
                                  assemble_limit_inverse, default_schedule,
                                  det_affine_coeffs, exact_minor_inverse,
                                  limit_minor_inverse, richardson,
                                  row_col_decay, spectral_limit,
-                                 _invert_schedule, _row_col_maxima,
-                                 _summarize)
+                                 _invert_schedule, _last_stage_schedule,
+                                 _row_col_maxima, _summarize)
 from ngmlimit.eigen import spectral_radius
+from ngmlimit.ngm import r0_removal_limit
 from ngmlimit.relapse import HostParams, VectorParams, build_coupled_ngm
 
 WORKED_3X3 = Matrix([[2.0, 1.0, 0.0], [1.0, 3.0, 1.0], [0.0, 1.0, 4.0]])
@@ -291,9 +293,8 @@ def test_schedule_points_equal_one_matrix_inversions():
         assert spectral.errors[k] == spectral_radius(matmul(f, inv))
 
 
-def relapse_ray_case(j: int):
-    """F and the V ray of a coupled (j, j) relapse pair, species 1's
-    last stage varying, as the removal experiment drives it."""
+def relapse_pair(j: int):
+    """A coupled (j, j) relapse pair with seeded random rates."""
     rng = np.random.default_rng(j)
 
     def host():
@@ -302,7 +303,13 @@ def relapse_ray_case(j: int):
                           mu=tuple(rng.uniform(0.1, 3.0, j)))
 
     vec = VectorParams(f=1.5, c_v=1.0, s_v_bar=1.0, mu_tilde=0.7)
-    pair = build_coupled_ngm(host(), host(), vec, j, j)
+    return build_coupled_ngm(host(), host(), vec, j, j)
+
+
+def relapse_ray_case(j: int):
+    """F and the V ray of a coupled (j, j) relapse pair, species 1's
+    last stage varying, as the removal experiment drives it."""
+    pair = relapse_pair(j)
     return pair.F, DiagonalRay(pair.V, j)
 
 
@@ -377,11 +384,12 @@ def test_stacked_radii_equal_one_matrix_spectral_radii(f, ray):
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered")
+@pytest.mark.filterwarnings("error")
 def test_spectral_limit_overflow_outside_the_block_raises():
     # F's one nonzero row R = {1} meets A(t)^-1 = diag(1/t, 2): the (R, R)
     # block 1/t is finite, but column 2 of F[R] A(t)^-1 is 1.5e308 * 2, which
     # overflows; the finiteness check covers every column, as it did when
-    # the whole product was formed
+    # the whole product was formed. The overflow is the only warning.
     f = Matrix([[1.0, 1.5e308], [0.0, 0.0]])
     ray = DiagonalRay(Matrix([[1.0, 0.0], [0.0, 0.5]]), 1)
     with pytest.raises(ValueError, match="must be finite"):
@@ -406,6 +414,179 @@ def test_spectral_limit_block_still_pairs_conjugates(monkeypatch):
     with pytest.raises(ConvergenceError, match="not closed under"):
         spectral_limit(f, ray, DECADES_2_8, target=0.0)
     assert shapes == [(len(DECADES_2_8), 3, 3)]
+
+
+# ---------------------------------------------------------------------------
+# a chain's last stage: A(t)^-1 = D(t)^-1 L^-1, never stacked
+
+def quarter_decades(ray: DiagonalRay) -> tuple[float, ...]:
+    return tuple(inf_norm(ray.base) * 10.0 ** (q / 4.0) for q in range(29))
+
+
+def assert_schedule_as_stacked(ray: DiagonalRay, ts):
+    """The factored schedule of a last-stage ray against the stack of
+    inverses: usable points and flags equal, and every usable point's
+    rows, the shared ones and row i, equal to the bit. Returns the
+    usable points and the flags."""
+    factored = _last_stage_schedule(ray, ts)
+    assert factored is not None
+    kept, last, usable, flags = factored
+    inverses, stacked_usable, stacked_flags = _invert_schedule(ray, ts)
+    assert (usable, flags) == (stacked_usable, stacked_flags)
+    c = ray.i - 1
+    keep = np.delete(np.arange(ray.base.rows), c)
+    for x in inverses[usable]:
+        assert x[keep].tobytes() == kept.tobytes()
+    assert inverses[usable, c].tobytes() == last.tobytes()
+    return usable, flags
+
+
+def assert_radii_near_one_matrix(f: Matrix, ray: DiagonalRay, report):
+    """Each usable point's radius against the (R, R) block of the
+    one-matrix ``F[R] @ inverse(A(t))``. The factored product sums row
+    i's term after the others, the one-matrix product in column order:
+    each is within n eps |F| |X| of exact, and LAPACK adds a backward
+    error below n eps |K|_2 to each eigenvalue step, so the radii differ
+    by at most 4 n eps || |F| |X| ||_2 times the radius's condition."""
+    rows = np.flatnonzero(f._a.any(axis=1))
+    f_rows = Matrix._wrap(f._a[rows])
+    for t, radius in zip(report.schedule, report.errors):
+        if math.isnan(radius):
+            continue
+        x = inverse(ray.at(t))
+        block = matmul(f_rows, x).to_numpy()[:, rows]
+        expected = spectral_radius(Matrix._wrap(block))
+        scale = f.rows * _EPS * np.linalg.norm(np.abs(f._a) @ np.abs(x._a), 2)
+        assert abs(radius - expected) <= \
+            4.0 * scale * radius_condition(block)
+
+
+@pytest.mark.parametrize("j", [2, 10, 40])
+def test_last_stage_schedule_flags_points_as_the_stack_does(j):
+    # Below 5e-12 or so t is a pivot under the singularity floor; above
+    # 1e13 every other pivot is. In between no point of a relapse ray
+    # can pass CONDITION_GUARD: norm / pivot stays below 1e12 at every
+    # usable point and each row of L^-1 sums to at most j < 45 (see the
+    # lower-triangular ray below for flagged points that are kept).
+    f, ray = relapse_ray_case(j)
+    ts = (1e-14,) + tuple(10.0 ** k for k in range(-6, 17, 2))
+    usable, flags = assert_schedule_as_stacked(ray, ts)
+    assert usable == [False] + [True] * 9 + [False] * 3
+    assert flags == [not ok for ok in usable]
+    _, report = spectral_limit(f, ray, ts, target=0.0)
+    assert report.flagged == tuple(flags)
+    assert [math.isnan(e) for e in report.errors] == flags
+    assert_radii_near_one_matrix(f, ray, report)
+
+
+def lower_sink_ray(n: int, i: int) -> DiagonalRay:
+    """A unit lower-triangular ray with -1 everywhere below the diagonal
+    but in column i: L is not bidiagonal, and row r of L^-1 sums to up
+    to 2^(r-1), so its condition estimate passes CONDITION_GUARD while
+    every pivot clears the singularity floor."""
+    a = np.tril(-np.ones((n, n)), -1) + np.eye(n)
+    a[i:, i - 1] = 0.0
+    return DiagonalRay(Matrix._wrap(a), i)
+
+
+@pytest.mark.parametrize("i", [8, 4])
+def test_last_stage_schedule_substitutes_where_l_is_not_bidiagonal(
+        monkeypatch, i):
+    ray = lower_sink_ray(8, i)
+    substitutions = []
+    substitute = densela._substitute_lower
+    monkeypatch.setattr(densela, "_substitute_lower", lambda *args: (
+        substitutions.append(True), substitute(*args)))
+    # 1e-11 (at i = 8) and 9e11: flagged, kept; 1e-14 and 1e13: below the
+    # floor
+    ts = (1e-14, 1e-11, 1e-3, 1.0, 1e3, 1e6, 1e9, 9e11, 1e13)
+    usable, flags = assert_schedule_as_stacked(ray, ts)
+    assert substitutions
+    kept = [ok and flag for ok, flag in zip(usable, flags)]
+    assert kept == [False, i == 8] + [False] * 5 + [True, False]
+    assert [not ok for ok in usable] == [True] + [False] * 7 + [True]
+    f = Matrix._wrap(np.diag([0.0, 1.0, 0.0, 0.0, 2.0, 0.0, 0.0, 1.0])
+                     + np.eye(8, k=-2))
+    _, report = spectral_limit(f, ray, ts, target=0.0)
+    assert report.flagged == tuple(flags)
+    assert all(math.isfinite(e) == ok
+               for e, ok in zip(report.errors, usable))
+    assert_radii_near_one_matrix(f, ray, report)
+
+
+@pytest.mark.filterwarnings("error")
+def test_last_stage_ray_ignores_its_base_entry():
+    # every point replaces a_ii; at 0 it would make row i of L^-1 / d
+    # infinite, and F[R]'s zeros in column i would turn that into NaN
+    f, ray = relapse_ray_case(10)
+    zero = DiagonalRay(set_entry(ray.base, ray.i, ray.i, 0.0), ray.i)
+    schedule = quarter_decades(ray)
+    _, expected = spectral_limit(f, ray, schedule, target=0.0)
+    _, got = spectral_limit(f, zero, schedule, target=0.0)
+    assert [e.hex() for e in got.errors] == \
+        [e.hex() for e in expected.errors]
+    assert got == expected
+    assert_schedule_as_stacked(zero, schedule)
+
+
+@pytest.mark.parametrize("j", [2, 10, 40])
+def test_dense_f_on_a_last_stage_ray(j):
+    # R is every row, row i of F included
+    _, ray = relapse_ray_case(j)
+    f = Matrix._wrap(np.random.default_rng(j).uniform(0.0, 1.0,
+                                                      ray.base.shape))
+    _, report = spectral_limit(f, ray, quarter_decades(ray), target=0.0)
+    assert_radii_near_one_matrix(f, ray, report)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("f", [np.zeros((2, 2)), np.eye(2)])
+def test_last_stage_row_that_overflows_raises(f):
+    # A(t) = diag(1e-300, t) at t = 1e-310: both pivots clear the floor
+    # of so small a matrix, so the point is usable, and row i of its
+    # inverse, 1 / t, overflows; that raises even where F is zero. The
+    # other rows are the (i, i) minor's inverse, checked by its caller.
+    ray = DiagonalRay(Matrix([[1e-300, 0.0], [0.0, 0.0]]), 2)
+    assert _last_stage_schedule(ray, (1e-310,))[2] == [True]
+    with pytest.raises(ValueError, match="must be finite"):
+        spectral_limit(Matrix._wrap(f), ray, (1e-310,), target=0.0)
+
+
+def test_last_stage_removal_never_stacks_the_schedule(monkeypatch):
+    pair = relapse_pair(10)
+    calls = []
+    at_many, inverse_stack = DiagonalRay.at_many, minorlimit._inverse_stack
+    monkeypatch.setattr(DiagonalRay, "at_many", lambda *args: (
+        calls.append("at_many"), at_many(*args))[1])
+    monkeypatch.setattr(minorlimit, "_inverse_stack", lambda *args: (
+        calls.append("_inverse_stack"), inverse_stack(*args))[1])
+    r0_removal_limit(pair, 10, DECADES_2_8)       # species 1's last stage
+    assert calls == []
+    r0_removal_limit(pair, 9, DECADES_2_8)        # a middle stage
+    assert calls == ["at_many", "_inverse_stack"]
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("target", ["0.5", True, math.nan, math.inf,
+                                    -math.inf, -1.0])
+def test_removal_limits_reject_bad_targets_by_name(target):
+    # a target is a spectral radius: a finite real number, at least 0
+    pair = relapse_pair(3)
+    f, ray = pair.F, DiagonalRay(pair.V, 3)
+    with pytest.raises(ConfigError) as exc:
+        spectral_limit(f, ray, DECADES_2_8, target=target)
+    assert exc.value.field == "target"
+    with pytest.raises(ConfigError) as exc:
+        r0_removal_limit(pair, 3, DECADES_2_8, target)
+    assert exc.value.field == "target"
+
+
+def test_removal_limits_take_a_zero_target():
+    pair = relapse_pair(3)
+    _, report = spectral_limit(pair.F, DiagonalRay(pair.V, 3), DECADES_2_8,
+                               target=0)
+    assert r0_removal_limit(pair, 3, DECADES_2_8, 0.0) == report
+    assert all(e > 0.0 for e in report.errors)
 
 
 def test_random_ray_cases_have_complex_spectra():
