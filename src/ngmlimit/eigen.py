@@ -88,8 +88,17 @@ def _eigvals(a: np.ndarray) -> np.ndarray:
 
 
 def spectral_radius(a: Matrix) -> float:
-    """Maximum eigenvalue modulus; 0 for the zero matrix."""
-    return max(abs(v) for v in eigenvalues(a).values)
+    """Maximum eigenvalue modulus; 0 for the zero matrix.
+
+    The maximum over :func:`eigenvalues`, bit for bit. A real spectrum is
+    read as LAPACK returns it, since it needs no pairing; a complex one
+    is paired as :func:`eigenvalues` pairs it.
+    """
+    _require_square(a, "eigenvalues")
+    raw = _eigvals(a._a)
+    if raw.dtype.kind == "f":
+        return float(np.abs(raw).max())
+    return max(abs(v) for v in _canonical_values(raw))
 
 
 def _spectral_radii(stack: np.ndarray) -> list[float]:
@@ -103,9 +112,13 @@ def _spectral_radii(stack: np.ndarray) -> list[float]:
     goes through the member-wise pairing, which raises the same
     ConvergenceError. Moduli are taken with ``np.hypot``, which is what
     ``abs`` of a Python complex computes; ``np.abs`` of a complex array
-    may differ from it in the last bit.
+    may differ from it in the last bit. A stack whose values are all
+    real needs neither step: its moduli are ``np.abs`` of the values,
+    which is what ``hypot(x, 0)`` gives.
     """
     raw = _eigvals(stack)
+    if raw.dtype.kind == "f":
+        return np.abs(raw).max(axis=1).tolist()
     values = raw.astype(complex)
     real, imag = values.real, values.imag
     imag[np.abs(imag) <= PAIRING_TOL * np.hypot(real, imag)] = 0.0
@@ -118,5 +131,12 @@ def _spectral_radii(stack: np.ndarray) -> list[float]:
 
 
 def spectral_abscissa(a: Matrix) -> float:
-    """Maximum eigenvalue real part."""
-    return max(v.real for v in eigenvalues(a).values)
+    """Maximum eigenvalue real part, read as :func:`spectral_radius`
+    reads it. ``argmax`` keeps the first of tied -0.0 and +0.0, as
+    ``max`` over the ``Spectrum`` does; ``np.max`` may not.
+    """
+    _require_square(a, "eigenvalues")
+    raw = _eigvals(a._a)
+    if raw.dtype.kind == "f":
+        return float(raw[raw.argmax()])
+    return max(v.real for v in _canonical_values(raw))

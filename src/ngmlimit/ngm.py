@@ -61,9 +61,10 @@ class NGMPair:
     inverse of V computed by that check; it is not a constructor
     argument and takes no part in ``repr`` or equality.
     :func:`remove_compartment` sets it, downdated from the larger pair's,
-    before ``__init__`` runs. V is factored unless a ``V_inv`` is found in
-    place with no entry below ``-MMATRIX_TOL``, so a warning is always
-    decided on a factored inverse.
+    before ``__init__`` runs, and so do the relapse builders, with
+    ``inverse(V)`` formed without its triage. V is factored unless a
+    ``V_inv`` is found in place with no entry below ``-MMATRIX_TOL``, so
+    a warning is always decided on a factored inverse.
     """
 
     F: Matrix
@@ -88,11 +89,11 @@ class NGMPair:
         if v_inv is None or np.any(v_inv._a < -MMATRIX_TOL):
             v_inv = inverse(self.V)  # raises SingularMatrixError if singular
             object.__setattr__(self, "V_inv", v_inv)
-        if np.any(v_inv._a < -MMATRIX_TOL):
-            warnings.warn(
-                "V^-1 has negative entries; V is not an M-matrix and the "
-                "epidemiological reading of r0 may not apply",
-                MMatrixWarning, stacklevel=2)
+            if np.any(v_inv._a < -MMATRIX_TOL):
+                warnings.warn(
+                    "V^-1 has negative entries; V is not an M-matrix and "
+                    "the epidemiological reading of r0 may not apply",
+                    MMatrixWarning, stacklevel=2)
 
     @property
     def dim(self) -> int:

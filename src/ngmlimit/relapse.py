@@ -23,7 +23,8 @@ from typing import ClassVar, Sequence
 
 import numpy as np
 
-from .densela import Matrix, _check_positive, _check_rates
+from .densela import (SINGULARITY_RTOL, Matrix, _check_positive,
+                      _check_rates, _unit_lower_inverse, inf_norm)
 from .errors import ConfigError
 from .minorlimit import ConvergenceReport, default_schedule
 from .ngm import NGMPair, r0_removal_limit, remove_compartment
@@ -179,7 +180,20 @@ def _build_ngm(hosts: Sequence[HostParams], vec: VectorParams) -> NGMPair:
         prefix = "I" if len(hosts) == 1 else f"I{species}."
         labels += [f"{prefix}{l}" for l in range(1, j + 1)]
         start += j
-    return NGMPair(Matrix._wrap(f), Matrix._wrap(v), (*labels, "Iv"))
+    f, v = Matrix._wrap(f), Matrix._wrap(v)
+    pair = NGMPair.__new__(NGMPair)
+    # inverse(V), bit for bit: V is lower bidiagonal and each pivot
+    # alpha_l + mu_l is at least the alpha_l below it, so inverse takes
+    # its swap-free lower path and ends in this division. Below its pivot
+    # floor V_inv stays unset, and NGMPair factors V and raises.
+    diagonal = v._a.diagonal()
+    with np.errstate(all="ignore"):
+        if diagonal.min() >= SINGULARITY_RTOL * inf_norm(v):
+            object.__setattr__(pair, "V_inv", Matrix._wrap(
+                _unit_lower_inverse(v.to_numpy(), None)
+                / diagonal[:, None]))
+    pair.__init__(f, v, (*labels, "Iv"))
+    return pair
 
 
 def r0_uncoupled_closed(host: HostParams, vec: VectorParams,

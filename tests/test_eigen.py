@@ -234,3 +234,73 @@ def test_eigenvalues_of_real_spectra_equal_the_complex_path():
         assert raw.dtype.kind == "f"
         assert repr(eigenvalues(Matrix._wrap(a)).values) == \
             repr(_canonical_values(raw.astype(complex)))
+
+
+# ---------------------------------------------------------------------------
+# radius and abscissa without the Spectrum
+
+def spectrum_maxima(a: Matrix) -> tuple[str, str]:
+    """The radius and abscissa as maxima over the ``Spectrum``, in hex."""
+    values = eigenvalues(a).values
+    return (max(abs(v) for v in values).hex(),
+            max(v.real for v in values).hex())
+
+
+def test_radius_and_abscissa_equal_the_spectrum_maxima_bit_for_bit():
+    rng = np.random.default_rng(92)
+    near_real = 1e-10  # inside PAIRING_TOL: LAPACK's pair snaps to real
+    matrices = [np.zeros((1, 1)), np.zeros((4, 4)), np.array([[-2.5]]),
+                np.array([[1.0, near_real], [-near_real, 1.0]]),
+                np.array([[-3.0, near_real], [-near_real, -3.0]])]
+    for n in (2, 3, 5, 8, 13):
+        for _ in range(20):
+            a = rng.uniform(-1.0, 1.0, (n, n))
+            matrices += [a, a + a.T]
+    kinds = set()
+    for a in matrices:
+        kinds.add(np.linalg.eigvals(a).dtype.kind)
+        m = Matrix._wrap(a)
+        assert (spectral_radius(m).hex(), spectral_abscissa(m).hex()) == \
+            spectrum_maxima(m)
+    assert kinds == {"c", "f"}
+    assert spectral_radius(Matrix([[1.0, near_real],
+                                   [-near_real, 1.0]])) == 1.0
+
+
+@pytest.mark.parametrize("raw", [[-0.0, 0.0, -1.0], [0.0, -0.0, -1.0],
+                                 [-2.0, -0.0, -0.0, 0.0],
+                                 [-1.0, 0.0, 0.0, -0.0]])
+def test_abscissa_keeps_the_first_of_tied_signed_zeros(monkeypatch, raw):
+    # np.max returns the last of the tie here, max over the Spectrum the
+    # first in LAPACK's order
+    first_zero = next(v for v in raw if v == 0.0)
+    raw = np.array(raw)
+    expected = max(v.real for v in _canonical_values(raw))
+    assert expected.hex() == first_zero.hex()
+    monkeypatch.setattr(eigen, "_eigvals", lambda a: raw)
+    got = spectral_abscissa(Matrix._wrap(np.zeros((len(raw), len(raw)))))
+    assert got.hex() == expected.hex()
+
+
+def test_spectra_not_closed_under_conjugation_raise_everywhere(monkeypatch):
+    monkeypatch.setattr(np.linalg, "eigvals",
+                        lambda a: np.array([1.0 + 1.0j, 2.0 + 0.0j]))
+    a = Matrix([[1.0, 2.0], [3.0, 4.0]])
+    messages = set()
+    for fn in (eigenvalues, spectral_radius, spectral_abscissa):
+        with pytest.raises(ConvergenceError) as info:
+            fn(a)
+        messages.add(str(info.value))
+    assert len(messages) == 1
+    monkeypatch.setattr(np.linalg, "eigvals",
+                        lambda a: np.array([[1.0 + 1.0j, 2.0 + 0.0j]]))
+    with pytest.raises(ConvergenceError) as info:
+        _spectral_radii(a._a[None])
+    assert str(info.value) in messages
+
+
+def test_radius_and_abscissa_reject_non_square_as_eigenvalues_does():
+    for fn in (eigenvalues, spectral_radius, spectral_abscissa):
+        with pytest.raises(ValueError, match="eigenvalues requires a square"):
+            fn(Matrix([[1.0, 2.0]]))
+

@@ -416,3 +416,48 @@ def test_downdate_round_off_does_not_warn():
 def test_pair_still_takes_no_inverse_argument():
     with pytest.raises(TypeError):
         NGMPair(identity(2), identity(2), ("a", "b"), V_inv=identity(2))
+
+
+def preset_pair(f: Matrix, v: Matrix, v_inv: Matrix) -> NGMPair:
+    """A pair built as remove_compartment and the relapse builders build
+    theirs: ``V_inv`` set before ``__init__`` runs."""
+    pair = NGMPair.__new__(NGMPair)
+    object.__setattr__(pair, "V_inv", v_inv)
+    pair.__init__(f, v, tuple(f"C{k}" for k in range(1, f.rows + 1)))
+    return pair
+
+
+def test_mmatrix_check_warns_once_and_refactors_a_negative_preset(
+        monkeypatch):
+    calls = []
+
+    def counting_inverse(m):
+        calls.append(m)
+        return inverse(m)
+
+    def built(build):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            pair = build()
+        return pair, [w.category for w in caught]
+
+    monkeypatch.setattr(ngm, "inverse", counting_inverse)
+    non_m = Matrix([[1.0, 0.5], [0.0, 1.0]])
+    m_matrix = Matrix([[1.0, -0.2], [-0.4, 2.0]])
+    negative = Matrix([[1.0, -1.0], [0.0, 1.0]])
+    # factored, or preset with a negative entry and so refactored: the
+    # warning comes once
+    for build in (lambda: NGMPair(identity(2), non_m, ("a", "b")),
+                  lambda: preset_pair(identity(2), non_m, negative)):
+        calls.clear()
+        pair, caught = built(build)
+        assert caught == [MMatrixWarning]
+        assert calls == [non_m] and pair.V_inv == inverse(non_m)
+    calls.clear()
+    pair, caught = built(lambda: preset_pair(identity(2), m_matrix, negative))
+    assert caught == []
+    assert calls == [m_matrix] and pair.V_inv == inverse(m_matrix)
+    # a preset with no negative entry is kept
+    calls.clear()
+    pair, caught = built(lambda: preset_pair(identity(2), non_m, identity(2)))
+    assert caught == [] and calls == [] and pair.V_inv == identity(2)

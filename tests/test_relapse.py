@@ -1,13 +1,14 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ngmlimit import relapse
-from ngmlimit.densela import Matrix
-from ngmlimit.errors import ConfigError
+from ngmlimit import ngm, relapse
+from ngmlimit.densela import Matrix, inverse
+from ngmlimit.errors import ConfigError, SingularMatrixError
 from ngmlimit.ngm import r0, remove_compartment
 from ngmlimit.relapse import (HostParams, R0Result, VectorParams,
                               build_coupled_ngm, build_uncoupled_ngm,
@@ -271,6 +272,125 @@ def test_builder_rejects_mismatched_stage_counts():
         build_uncoupled_ngm(host1, vec, 3)
     with pytest.raises(ValueError):
         build_coupled_ngm(host1, host2, vec, 2, 2)
+
+
+# ---------------------------------------------------------------------------
+# the builder's V^-1
+
+log_rate = st.floats(min_value=-3.0, max_value=3.0).map(lambda e: 10.0 ** e)
+
+
+@st.composite
+def chains(draw):
+    j = draw(st.integers(min_value=1, max_value=6))
+    return HostParams(draw(log_rate), draw(log_rate),
+                      tuple(draw(st.lists(log_rate, min_size=j + 1,
+                                          max_size=j + 1))),
+                      tuple(draw(st.lists(log_rate, min_size=j,
+                                          max_size=j))))
+
+
+def assert_same_bits(a: Matrix, b: Matrix):
+    assert a.shape == b.shape
+    assert a._a.tobytes() == b._a.tobytes()
+
+
+@given(hosts=st.lists(chains(), min_size=1, max_size=3),
+       vec=st.builds(VectorParams, log_rate, log_rate, log_rate, log_rate))
+@settings(max_examples=150, deadline=None)
+def test_builder_inverse_is_inverse_of_v_bit_for_bit(hosts, vec):
+    pair = relapse._build_ngm(tuple(hosts), vec)
+    assert_same_bits(pair.V_inv, inverse(pair.V))
+
+
+def test_long_chain_builder_inverse_is_inverse_of_v_bit_for_bit():
+    rng = np.random.default_rng(58)
+
+    def rates(size):
+        return tuple((10.0 ** rng.uniform(-3.0, 3.0, size)).tolist())
+
+    hosts = [HostParams(1.0, 1.0, rates(41), rates(40)) for _ in range(2)]
+    vec = VectorParams(*rates(4))
+    pair = build_coupled_ngm(*hosts, vec, 40, 40)
+    assert pair.dim == 81
+    assert_same_bits(pair.V_inv, inverse(pair.V))
+
+
+def test_builders_take_no_inverse_call(monkeypatch):
+    calls = []
+
+    def counting_inverse(m):
+        calls.append(m)
+        return inverse(m)
+
+    monkeypatch.setattr(ngm, "inverse", counting_inverse)
+    rng = np.random.default_rng(59)
+    pair = build_uncoupled_ngm(random_host(rng, 3), random_vector(rng), 3)
+    coupled = build_coupled_ngm(random_host(rng, 2), random_host(rng, 4),
+                                random_vector(rng), 2, 4)
+    assert calls == []
+    # the counter sees NGMPair's own factoring, and it gives the same r0
+    assert r0(pair) == r0(ngm.NGMPair(pair.F, pair.V, pair.labels))
+    assert len(calls) == 1
+    assert_same_bits(coupled.V_inv, inverse(coupled.V))
+
+
+def transfer_block(host: HostParams, vec: VectorParams) -> Matrix:
+    """A single chain's V, written out entry by entry."""
+    j = host.stages
+    v = np.zeros((j + 1, j + 1))
+    for l in range(j):
+        v[l, l] = host.alpha[l + 1] + host.mu[l]
+        if l:
+            v[l, l - 1] = -host.alpha[l]
+    v[j, j] = vec.mu_tilde
+    return Matrix._wrap(v)
+
+
+def outcome(fn):
+    """What ``fn()`` raises with warnings turned into errors."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            fn()
+        except Exception as exc:  # noqa: BLE001 - compared below
+            return (type(exc), str(exc), getattr(exc, "pivot", None),
+                    getattr(exc, "column", None))
+    return None
+
+
+@pytest.mark.parametrize("host, vec, expected", [
+    # pivot 2e-14 below the floor 1e-12 * 2
+    (HostParams(1.0, 1.0, (1.0, 1e-14, 1.0), (1e-14, 1.0)), UNIT_VEC,
+     SingularMatrixError),
+    # every pivot is subnormal but above the floor; 1 / 5e-310 overflows
+    (HostParams(1.0, 1.0, (5e-310,) * 3, (5e-310,) * 2),
+     VectorParams(1.0, 1.0, 1.0, 5e-310), ValueError),
+    # alpha + mu overflows in V itself
+    (HostParams(1.0, 1.0, (1.0, 1e308, 1.0), (1e308, 1.0)), UNIT_VEC,
+     ValueError),
+    (HostParams(1.0, 1.0, (1e308,) * 3, (1e308,) * 2),
+     VectorParams(1.0, 1.0, 1.0, 1e308), ValueError),
+    # V is finite but a row sum overflows: inf_norm warns
+    (HostParams(1.0, 1.0, (1.0, 1.7e308, 1.7e308), (1e-300, 1e-300)),
+     UNIT_VEC, RuntimeWarning),
+])
+def test_builder_edge_inputs_fail_as_factoring_fails(host, vec, expected):
+    got = outcome(lambda: build_uncoupled_ngm(host, vec, host.stages))
+    assert got[0] is expected
+    if expected is ValueError:
+        assert got[1] == "matrix entries must be finite (no NaN/Inf)"
+    assert got == outcome(lambda: inverse(transfer_block(host, vec)))
+
+
+def test_builder_warns_once_where_inf_norm_overflows():
+    host = HostParams(1.0, 1.0, (1.0, 1.7e308, 1.7e308), (1e-300, 1e-300))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(SingularMatrixError) as info:
+            build_uncoupled_ngm(host, UNIT_VEC, 2)
+    assert [w.category for w in caught] == [RuntimeWarning]
+    assert info.value.column == 1 and info.value.pivot == 1.7e308
 
 
 # ---------------------------------------------------------------------------
