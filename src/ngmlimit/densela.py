@@ -121,7 +121,7 @@ class Matrix:
         return Matrix._wrap(self._a - other._a)
 
     def __mul__(self, scalar: float) -> "Matrix":
-        return Matrix._wrap(self._a * float(scalar))
+        return Matrix._wrap(self._a * _check_real("scalar", scalar))
 
     __rmul__ = __mul__
 
@@ -264,29 +264,21 @@ def inf_norm(a: Matrix) -> float:
     return float(np.abs(a._a).sum(axis=1).max())
 
 
-def _lu_stack(lu: np.ndarray, floors: np.ndarray, scratch: np.ndarray,
-              start: int = 0, stop: "int | None" = None,
-              perm: "np.ndarray | None" = None):
+def _lu_stack(lu: np.ndarray, floors: np.ndarray, scratch: np.ndarray):
     """Row-pivoted LU factorization P A = L U of every member of a stack.
 
-    Factors the C-contiguous (B, n, m) array ``lu`` in place, packing each
+    Factors the C-contiguous (B, n, n) array ``lu`` in place, packing each
     member's unit-lower and upper factors, and uses ``scratch`` (same
     shape) for the rank-1 updates. The column loop runs once for the whole
     stack; each elementwise update is the one, in the same order, that the
     elimination of that member alone performs, so a member's factors do
     not depend on the rest of the stack.
 
-    Runs the elimination steps ``start`` up to (not including) ``stop``,
-    by default to the end; a stack that earlier steps already reduced
-    passes the flat row permutation they made as ``perm``. Columns beyond
-    the n-th (m > n) only receive the row operations: pivots and
-    multipliers come from the first n columns.
-
     Returns ``(perm, swaps, column, pivots)``:
 
     * ``perm[b * n + r]`` is the flat row (``b * n + r'``, row r' of
       member b) that pivoting moved to row r of member b;
-    * ``swaps[b]`` counts member b's row interchanges from step ``start``;
+    * ``swaps[b]`` counts member b's row interchanges;
     * ``column[b]`` is the 1-based column where member b first met a
       pivot below ``floors[b]`` (or exactly zero), 0 if it never did;
     * ``pivots[b, k]`` is the magnitude of member b's pivot in column
@@ -296,15 +288,14 @@ def _lu_stack(lu: np.ndarray, floors: np.ndarray, scratch: np.ndarray,
     later factors mean nothing; callers silence the arithmetic warnings
     that raises.
     """
-    count, n, width = lu.shape
-    rows = lu.reshape(count * n, width)
-    if perm is None:
-        perm = np.arange(count * n)
+    count, n, _ = lu.shape
+    rows = lu.reshape(count * n, n)
+    perm = np.arange(count * n)
     starts = np.arange(0, count * n, n)
     diagonal = lu.diagonal(0, 1, 2)[:, :, None]
     flips = []
     # the last column has one candidate pivot and nothing left to update
-    for k in range(start, n - 1 if stop is None else stop):
+    for k in range(n - 1):
         below = np.abs(lu[:, k:, k]).argmax(axis=1)
         if np.count_nonzero(below):
             # swap the flat rows k and k + below of every member (a row
@@ -340,30 +331,6 @@ def _first_low_pivot(pivots: np.ndarray, floors: np.ndarray) -> np.ndarray:
     return np.where(low.any(axis=1), low.argmax(axis=1) + 1, 0)
 
 
-def _shared_prefix(a: np.ndarray, varying: int) -> tuple[np.ndarray, int]:
-    """The first ``varying`` elimination steps of a stack whose members
-    differ only in column ``varying`` (0-based), run once for the whole
-    stack.
-
-    Those steps choose their pivots and multipliers from earlier columns
-    alone, so they are the same for every member; column ``varying``
-    only receives their row swaps and updates. One member bordered by
-    every member's copy of that column is therefore eliminated once, and
-    ``a`` is overwritten by the result: each member exactly as its own
-    elimination leaves it after those steps. Returns the flat row
-    permutation for :func:`_lu_stack` to continue from and the number of
-    row interchanges the steps made, which every member shares.
-    """
-    count, n, _ = a.shape
-    wide = np.concatenate((a[0], a[:, :, varying].T), axis=1)[None]
-    perm, swaps, _, _ = _lu_stack(wide, np.zeros(1), np.empty_like(wide),
-                                  stop=varying)
-    a[:] = wide[:, :, :n]
-    a[:, :, varying] = wide[0, :, n:].T
-    flat = (np.arange(0, count * n, n)[:, None] + perm).ravel()
-    return flat, int(swaps[0])
-
-
 def _inverse_stack(a: np.ndarray, floors: np.ndarray,
                    varying: "int | None" = None):
     """Inverse of every member of a C-contiguous (B, n, n) stack.
@@ -371,12 +338,11 @@ def _inverse_stack(a: np.ndarray, floors: np.ndarray,
     ``a`` is overwritten by its LU factors (the first member's only, on
     the lower-triangular path below); the inverse buffer doubles as the
     factorization's scratch, so no third stack is allocated.
-    ``floors[b]`` is member b's pivot floor. When the members differ only
-    in column ``varying`` (0-based), as the points of a diagonal ray do,
-    the elimination steps before it run once (:func:`_shared_prefix`).
-    Returns ``(inverses, column, pivots)`` with ``column`` and ``pivots``
-    as reported by :func:`_lu_stack`; a member with a nonzero column
-    comes back as NaN.
+    ``floors[b]`` is member b's pivot floor; ``varying`` (0-based) names
+    the column in which the members of a diagonal ray differ. Returns
+    ``(inverses, column, pivots)`` with ``column`` and ``pivots`` as
+    reported by :func:`_lu_stack`; a member with a nonzero column comes
+    back as NaN.
 
     A ray whose column ``varying`` is zero off the diagonal shares L
     among its members, and so does a stack of one. If the first member
@@ -394,9 +360,7 @@ def _inverse_stack(a: np.ndarray, floors: np.ndarray,
     inv = np.empty_like(a)
     diagonal = a.diagonal(0, 1, 2)[:, :, None]
     with np.errstate(all="ignore"):
-        perm, _ = _shared_prefix(a, varying) if varying else (None, 0)
-        perm, _, column, pivots = _lu_stack(a, floors, inv,
-                                            start=varying or 0, perm=perm)
+        perm, _, column, pivots = _lu_stack(a, floors, inv)
         # P applied to the identity, then forward and back substitution
         inv.fill(0.0)
         inv.reshape(count * n, n)[np.arange(count * n), perm % n] = 1.0
@@ -484,12 +448,9 @@ def _unit_lower_inverse(lower: np.ndarray,
     The column loop would only divide each column below the diagonal by
     its pivot; those divisions are made at once. Column ``varying`` is
     zero below the diagonal in every member of a ray's stack, and is set
-    so here, where its own pivot may be zero. Where L is bidiagonal, each
-    row of the forward substitution has one nonzero product, so the
-    columns of ``L^-1`` are running products of the negated subdiagonal;
-    ``+ 0.0`` turns each zero into the +0 the substitution leaves. No
-    multiplier exceeds 1 in magnitude, so no product overflows. A zero
-    pivot makes NaN; callers silence the warnings that raises.
+    so here, where its own pivot may be zero. A bidiagonal L goes to
+    :func:`_bidiagonal_inverse`. A zero pivot makes NaN; callers silence
+    the warnings that raises.
     """
     n = len(lower)
     below = _below(n)
@@ -502,11 +463,25 @@ def _unit_lower_inverse(lower: np.ndarray,
         y = np.eye(n)[None]
         _substitute_lower(lower[None], y, lower != 0.0)
         return y[0]
-    # column c of L^-1: 1 at row c, then at each row r below it the
-    # running product of -l_r, l_r being row r's multiplier
-    multipliers = np.zeros((n, 1))
-    multipliers[1:, 0] = lower.diagonal(-1)
-    y = np.cumprod(np.where(below, -multipliers, 1.0), axis=0)
+    return _bidiagonal_inverse(lower.diagonal(-1))
+
+
+def _bidiagonal_inverse(multipliers) -> np.ndarray:
+    """``L^-1``, L being unit lower bidiagonal with ``multipliers`` (n - 1
+    values) on its subdiagonal, as the forward substitution forms it.
+
+    Each row of the substitution has one nonzero product, so column c of
+    ``L^-1`` is 1 at row c, then at each row r below it the running
+    product of -l_r, l_r being row r's multiplier; ``+ 0.0`` turns each
+    zero into the +0 the substitution leaves. No multiplier of a
+    :func:`_swap_free_lower` matrix exceeds 1 in magnitude, so no product
+    overflows.
+    """
+    n = len(multipliers) + 1
+    below = _below(n)
+    column = np.zeros((n, 1))
+    column[1:, 0] = multipliers
+    y = np.cumprod(np.where(below, -column, 1.0), axis=0)
     y[below.T] = 0.0
     y += 0.0
     return y
@@ -521,21 +496,15 @@ def determinant(a: Matrix) -> float:
     return _determinant_stack(a._a[None].copy())[0]
 
 
-def _determinant_stack(a: np.ndarray, varying: int = 0) -> list[float]:
+def _determinant_stack(a: np.ndarray) -> list[float]:
     """:func:`determinant` of every member of a C-contiguous (B, n, n)
-    stack, which is overwritten by its LU factors. When the members
-    differ only in column ``varying`` (0-based), the elimination steps
-    before it run once (:func:`_shared_prefix`) and their row swaps
-    count towards every member's sign.
-    """
+    stack, which is overwritten by its LU factors."""
     with np.errstate(all="ignore"):
-        perm, swaps = _shared_prefix(a, varying) if varying else (None, 0)
-        _, more, column, _ = _lu_stack(a, np.zeros(len(a)),
-                                       np.empty_like(a), start=varying,
-                                       perm=perm)
+        _, swaps, column, _ = _lu_stack(a, np.zeros(len(a)),
+                                        np.empty_like(a))
     return [0.0 if c else
             float((-1.0 if s % 2 else 1.0) * np.prod(np.diag(lu)))
-            for lu, s, c in zip(a, (swaps + more).tolist(), column.tolist())]
+            for lu, s, c in zip(a, swaps.tolist(), column.tolist())]
 
 
 def inverse(a: Matrix) -> Matrix:

@@ -87,6 +87,48 @@ def _eigvals(a: np.ndarray) -> np.ndarray:
             f"eigenvalue iteration did not converge: {exc}") from exc
 
 
+def _each_member(stack: np.ndarray) -> list[np.ndarray]:
+    """Raw eigenvalues of each member of a (B, n, n) stack, from one call,
+    as a call on that member alone returns them: LAPACK runs on each
+    member as on a lone matrix, but only a stack whose values are all
+    real comes back real, so a member with no nonzero imaginary part is
+    taken as its real parts.
+    """
+    raw = _eigvals(stack)
+    if raw.dtype.kind == "f":
+        return list(raw)
+    complex_members = raw.imag.any(axis=1).tolist()
+    return [member if is_complex else member.real
+            for member, is_complex in zip(raw, complex_members)]
+
+
+def _radius(raw: np.ndarray) -> float:
+    """:func:`spectral_radius` of raw eigenvalues."""
+    if raw.dtype.kind == "f":
+        return float(np.abs(raw).max())
+    return max(abs(v) for v in _canonical_values(raw))
+
+
+def _abscissa(raw: np.ndarray) -> float:
+    """:func:`spectral_abscissa` of raw eigenvalues.
+
+    Snapping and pairing move no real part, so a complex spectrum whose
+    upper half-plane values are exactly the conjugates of its lower ones,
+    in LAPACK's order, which the pairing accepts, gives its largest real
+    part if that is nonzero (one bit pattern) and not NaN. Any other is
+    paired, which raises as :func:`eigenvalues` does and keeps the first
+    of tied -0.0 and +0.0.
+    """
+    if raw.dtype.kind == "f":
+        return float(raw[raw.argmax()])
+    top = raw.real.max()
+    if abs(top) > 0.0:
+        imag = raw.imag
+        if np.array_equal(raw[imag > 0.0], raw[imag < 0.0].conj()):
+            return float(top)
+    return max(v.real for v in _canonical_values(raw))
+
+
 def spectral_radius(a: Matrix) -> float:
     """Maximum eigenvalue modulus; 0 for the zero matrix.
 
@@ -95,10 +137,7 @@ def spectral_radius(a: Matrix) -> float:
     is paired as :func:`eigenvalues` pairs it.
     """
     _require_square(a, "eigenvalues")
-    raw = _eigvals(a._a)
-    if raw.dtype.kind == "f":
-        return float(np.abs(raw).max())
-    return max(abs(v) for v in _canonical_values(raw))
+    return _radius(_eigvals(a._a))
 
 
 def _spectral_radii(stack: np.ndarray) -> list[float]:
@@ -131,12 +170,10 @@ def _spectral_radii(stack: np.ndarray) -> list[float]:
 
 
 def spectral_abscissa(a: Matrix) -> float:
-    """Maximum eigenvalue real part, read as :func:`spectral_radius`
-    reads it. ``argmax`` keeps the first of tied -0.0 and +0.0, as
-    ``max`` over the ``Spectrum`` does; ``np.max`` may not.
+    """Maximum eigenvalue real part, the maximum over :func:`eigenvalues`
+    bit for bit. ``argmax`` keeps the first of tied -0.0 and +0.0 in a
+    real spectrum, as ``max`` over the ``Spectrum`` does; ``np.max`` may
+    not.
     """
     _require_square(a, "eigenvalues")
-    raw = _eigvals(a._a)
-    if raw.dtype.kind == "f":
-        return float(raw[raw.argmax()])
-    return max(v.real for v in _canonical_values(raw))
+    return _abscissa(_eigvals(a._a))

@@ -17,7 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from .densela import Matrix, _check_index, inverse, matmul, minor
-from .eigen import spectral_abscissa, spectral_radius
+from .eigen import _abscissa, _each_member, _radius, spectral_radius
 from .minorlimit import (ConvergenceReport, DiagonalRay,
                          _downdated_minor_inverse, _spectral_limit,
                          exact_minor_inverse)
@@ -149,10 +149,15 @@ def dfe_threshold_check(pair: NGMPair) -> ThresholdReport:
 
     The disease-free equilibrium is stable exactly when the spectral
     abscissa of F - V is negative, which should happen exactly when
-    r0 < 1.
+    r0 < 1. Both spectra come from one eigenvalue call on the stacked
+    ``F V^-1`` and ``F - V``; each is read as :func:`r0` and
+    :func:`~ngmlimit.eigen.spectral_abscissa` read it.
     """
-    value = r0(pair)
-    abscissa = spectral_abscissa(pair.F - pair.V)
+    k = matmul(pair.F, pair.V_inv)
+    jacobian = pair.F - pair.V
+    k_values, jacobian_values = _each_member(np.array((k._a, jacobian._a)))
+    value = _radius(k_values)
+    abscissa = _abscissa(jacobian_values)
     s_r0 = _threshold_sign(value - 1.0)
     s_ab = _threshold_sign(abscissa)
     return ThresholdReport(

@@ -23,8 +23,8 @@ from typing import ClassVar, Sequence
 
 import numpy as np
 
-from .densela import (SINGULARITY_RTOL, Matrix, _check_positive,
-                      _check_rates, _unit_lower_inverse, inf_norm)
+from .densela import (SINGULARITY_RTOL, Matrix, _bidiagonal_inverse,
+                      _check_positive, _check_rates)
 from .errors import ConfigError
 from .minorlimit import ConvergenceReport, default_schedule
 from .ngm import NGMPair, r0_removal_limit, remove_compartment
@@ -164,34 +164,39 @@ def _build_ngm(hosts: Sequence[HostParams], vec: VectorParams) -> NGMPair:
     stage (``f * c_v * s_v_bar / s_bar``).
     """
     n = sum(host.stages for host in hosts) + 1
-    v = np.zeros((n, n))
     f = np.zeros((n, n))
-    v[n - 1, n - 1] = vec.mu_tilde
+    # V's diagonal and, row by row, its entry left of the diagonal (0 at
+    # a chain's first stage and at the first row)
+    diagonal, lower = [], []
     labels = []
     start = 0
     for species, host in enumerate(hosts, 1):
         j = host.stages
-        for l in range(j):
-            v[start + l, start + l] = host.alpha[l + 1] + host.mu[l]
-            if l:
-                v[start + l, start + l - 1] = -host.alpha[l]
+        diagonal += [a + m for a, m in zip(host.alpha[1:], host.mu)]
+        lower += [0.0, *(-a for a in host.alpha[1:j])]
         f[start, n - 1] = vec.f * host.c * host.alpha[0]
         f[n - 1, start:start + j] = vec.f * vec.c_v * vec.s_v_bar / host.s_bar
         prefix = "I" if len(hosts) == 1 else f"I{species}."
         labels += [f"{prefix}{l}" for l in range(1, j + 1)]
         start += j
+    diagonal.append(vec.mu_tilde)
+    lower.append(0.0)
+    v = np.diag(diagonal)
+    np.fill_diagonal(v[1:], lower[1:])
     f, v = Matrix._wrap(f), Matrix._wrap(v)
     pair = NGMPair.__new__(NGMPair)
     # inverse(V), bit for bit: V is lower bidiagonal and each pivot
     # alpha_l + mu_l is at least the alpha_l below it, so inverse takes
-    # its swap-free lower path and ends in this division. Below its pivot
-    # floor V_inv stays unset, and NGMPair factors V and raises.
-    diagonal = v._a.diagonal()
-    with np.errstate(all="ignore"):
-        if diagonal.min() >= SINGULARITY_RTOL * inf_norm(v):
+    # its swap-free lower path and ends in this division. A row of |V|
+    # has at most two nonzeros, so its sum is one addition, as NumPy's
+    # row sum in inf_norm makes it. Below the pivot floor V_inv stays
+    # unset, and NGMPair factors V and raises.
+    norm = max(d - l for d, l in zip(diagonal, lower))
+    if min(diagonal) >= SINGULARITY_RTOL * norm:
+        multipliers = [l / d for l, d in zip(lower[1:], diagonal)]
+        with np.errstate(all="ignore"):
             object.__setattr__(pair, "V_inv", Matrix._wrap(
-                _unit_lower_inverse(v.to_numpy(), None)
-                / diagonal[:, None]))
+                _bidiagonal_inverse(multipliers) / v._a.diagonal()[:, None]))
     pair.__init__(f, v, (*labels, "Iv"))
     return pair
 

@@ -154,7 +154,7 @@ def check_affine_determinant(seed: int = 42,
             slope, intercept = det_affine_coeffs(ray)
             # one stack: the checked points, then t = 1 and t = 0 again
             dets = densela._determinant_stack(
-                ray.at_many(checked + (1.0, 0.0)), i - 1)
+                ray.at_many(checked + (1.0, 0.0)))
             for t, actual in zip(checked, dets):
                 scale = 1.0 + abs(slope * t) + abs(intercept)
                 worst = max(worst,

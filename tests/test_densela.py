@@ -9,7 +9,7 @@ from ngmlimit import densela
 from ngmlimit.densela import (SINGULARITY_RTOL, Matrix, _determinant_stack,
                               _inverse_stack, determinant, identity,
                               inf_norm, inverse, matmul, minor, set_entry)
-from ngmlimit.errors import SingularMatrixError
+from ngmlimit.errors import ConfigError, SingularMatrixError
 from ngmlimit.minorlimit import DiagonalRay
 from ngmlimit.relapse import HostParams, VectorParams, build_coupled_ngm
 
@@ -131,19 +131,27 @@ def test_from_flat_round_trip():
 def test_non_finite_entries_rejected(bad):
     with pytest.raises(ValueError):
         Matrix([[1.0, bad], [0.0, 1.0]])
+    with pytest.raises(ValueError, match=r"^matrix entries must be finite"):
+        Matrix([[1.0, -2.0]]) * bad
 
 
-@pytest.mark.parametrize("bad", [True, "2"])
+@pytest.mark.parametrize("bad", [True, "2", b"3"])
 def test_entries_must_be_real_numbers(bad):
-    # float() takes bool and str; a matrix entry must be a real number
+    # float() takes bool, str and bytes; a matrix entry must be a real
+    # number, and so must a scalar factor
     with pytest.raises(ValueError, match=r"^rows\[0\]\[1\]: must be a n"):
         Matrix([[1.0, bad], [0.0, 1.0]])
     with pytest.raises(ValueError, match=r"^values\[1\]: must be a n"):
         Matrix.from_flat(2, 2, [1.0, bad, 0.0, 1.0])
     with pytest.raises(ValueError, match=r"^value: must be a number"):
         set_entry(identity(2), 1, 2, bad)
+    for product in (lambda: identity(2) * bad, lambda: bad * identity(2)):
+        with pytest.raises(ConfigError, match=r"^scalar: must be a number"):
+            product()
     assert Matrix([[np.int64(1), np.float32(0.5)]]).data == (1.0, 0.5)
     assert set_entry(identity(2), 1, 2, np.int64(3)).entry(1, 2) == 3.0
+    assert (3 * identity(2)).data == (3.0, 0.0, 0.0, 3.0)
+    assert (identity(2) * np.float64(0.5)).data == (0.5, 0.0, 0.0, 0.5)
 
 
 def test_ragged_rows_rejected():
@@ -372,8 +380,9 @@ def ray_stack(base: np.ndarray, c: int, ts) -> np.ndarray:
 
 @pytest.mark.parametrize("n", range(2, 14))
 def test_ray_stack_shared_prefix_equals_reference_bit_for_bit(n):
-    # the steps before column c run once for the whole ray; every member
-    # must still be exactly its own elimination, at every c
+    # the points of a ray share the elimination steps before column c (the
+    # shared prefix); the stacked engine runs every member's steps, and
+    # each member must be exactly its own elimination, at every c
     rng = np.random.default_rng(500 + n)
     base = rng.uniform(-1.0, 1.0, (n, n))
     # small t values keep row swaps in the columns after c as well
@@ -390,6 +399,8 @@ def test_ray_stack_shared_prefix_equals_reference_bit_for_bit(n):
 
 @pytest.mark.parametrize("j", [20, 40])
 def test_ladder_ray_shared_prefix_equals_reference_bit_for_bit(j):
+    # the stacked engine on a ladder schedule, whose points share the steps
+    # before column j, against each member's one-matrix elimination
     stack = ladder_v_schedule(j)
     inverses, column, _ = _inverse_stack(stack.copy(), stack_floors(stack),
                                          j - 1)
@@ -400,7 +411,9 @@ def test_ladder_ray_shared_prefix_equals_reference_bit_for_bit(j):
 
 def test_zero_pivot_in_shared_prefix_flags_every_member():
     # columns 1 and 2 are exactly dependent (dyadic multipliers), so the
-    # pivot of column 2 is exactly zero before the varying column 4
+    # pivot of column 2 is exactly zero in the steps every member of the
+    # ray at column 4 shares; the stacked engine flags each member as its
+    # own elimination does
     base = np.array([[1.0, 2.0, 0.5, 1.0],
                      [2.0, 4.0, 1.0, 0.0],
                      [3.0, 6.0, 0.0, 1.0],
@@ -421,7 +434,7 @@ def test_zero_pivot_in_shared_prefix_flags_every_member():
 
 def test_member_singular_at_its_own_t_is_the_only_one_flagged():
     # the leading 3x3 block has determinant t - 2: at t = 2 the pivot of
-    # column 3 is exactly zero, after the shared step; t = 0.5 swaps rows
+    # column 3 is exactly zero, after the first step; t = 0.5 swaps rows
     base = np.array([[1.0, 1.0, 0.0, 0.0],
                      [1.0, 0.0, 1.0, 0.0],
                      [0.0, 1.0, 1.0, 0.0],
@@ -718,7 +731,7 @@ def ray_determinant_cases():
     for n in range(2, 8):
         yield rng.uniform(-1.0, 1.0, (n, n))
         yield np.tril(rng.uniform(-1.0, 1.0, (n, n))) + np.eye(n)
-    # scaled permutations: the shared prefix swaps rows an odd or an even
+    # scaled permutations: the elimination swaps rows an odd or an even
     # number of times
     for perm in ([1, 0, 2, 3], [1, 2, 3, 0], [3, 2, 1, 0], [2, 0, 1, 3]):
         yield np.eye(4)[perm] * np.array([2.0, 3.0, 5.0, 7.0])[:, None]
@@ -734,7 +747,7 @@ def test_ray_determinants_equal_one_matrix_determinants():
         m = Matrix._wrap(base)
         for i in range(1, m.rows + 1):
             stack = DiagonalRay(m, i).at_many(ts)
-            got = _determinant_stack(stack.copy(), i - 1)
+            got = _determinant_stack(stack.copy())
             expected = [determinant(DiagonalRay(m, i).at(t)) for t in ts]
             assert [float(g).hex() for g in got] == \
                 [float(e).hex() for e in expected]
@@ -754,7 +767,7 @@ def test_ray_determinant_is_zero_where_the_member_is_singular():
                      [1.0, 0.0, 1.0, 0.0],
                      [0.0, 1.0, 1.0, 0.0],
                      [0.0, 0.0, 0.0, 1.0]])
-    got = _determinant_stack(ray_stack(base, 1, [0.5, 2.0, 3.0]), 1)
+    got = _determinant_stack(ray_stack(base, 1, [0.5, 2.0, 3.0]))
     assert got == [-1.5, 0.0, 1.0]
 
 

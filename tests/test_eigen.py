@@ -10,6 +10,7 @@ from ngmlimit.densela import Matrix, identity, inf_norm
 from ngmlimit.eigen import (Spectrum, _canonical_values, _spectral_radii,
                             eigenvalues, spectral_abscissa, spectral_radius)
 from ngmlimit.errors import ConvergenceError
+from ngmlimit.ngm import NGMPair, dfe_threshold_check
 
 
 def companion(coeffs):
@@ -252,17 +253,32 @@ def test_radius_and_abscissa_equal_the_spectrum_maxima_bit_for_bit():
     matrices = [np.zeros((1, 1)), np.zeros((4, 4)), np.array([[-2.5]]),
                 np.array([[1.0, near_real], [-near_real, 1.0]]),
                 np.array([[-3.0, near_real], [-near_real, -3.0]])]
+    # complex spectra whose top real part is +0.0 or -0.0 (rotation
+    # blocks), alone or tied with a real zero of either sign
+    for zero in (0.0, -0.0):
+        rotation = np.array([[zero, 1.0], [-1.0, zero]])
+        matrices.append(rotation)
+        for real in (0.0, -0.0, -1.0):
+            bordered = np.zeros((3, 3))
+            bordered[:2, :2] = rotation
+            bordered[2, 2] = real
+            matrices += [bordered, bordered[::-1, ::-1].copy()]
     for n in (2, 3, 5, 8, 13):
         for _ in range(20):
             a = rng.uniform(-1.0, 1.0, (n, n))
             matrices += [a, a + a.T]
     kinds = set()
+    zero_tops = set()
     for a in matrices:
-        kinds.add(np.linalg.eigvals(a).dtype.kind)
+        raw = np.linalg.eigvals(a)
+        kinds.add(raw.dtype.kind)
         m = Matrix._wrap(a)
         assert (spectral_radius(m).hex(), spectral_abscissa(m).hex()) == \
             spectrum_maxima(m)
+        if raw.dtype.kind == "c" and raw.real.max() == 0.0:
+            zero_tops.add(spectral_abscissa(m).hex())
     assert kinds == {"c", "f"}
+    assert zero_tops == {"0x0.0p+0", "-0x0.0p+0"}
     assert spectral_radius(Matrix([[1.0, near_real],
                                    [-near_real, 1.0]])) == 1.0
 
@@ -277,25 +293,42 @@ def test_abscissa_keeps_the_first_of_tied_signed_zeros(monkeypatch, raw):
     raw = np.array(raw)
     expected = max(v.real for v in _canonical_values(raw))
     assert expected.hex() == first_zero.hex()
+    zeros = Matrix._wrap(np.zeros((len(raw), len(raw))))
     monkeypatch.setattr(eigen, "_eigvals", lambda a: raw)
-    got = spectral_abscissa(Matrix._wrap(np.zeros((len(raw), len(raw)))))
-    assert got.hex() == expected.hex()
+    assert spectral_abscissa(zeros).hex() == expected.hex()
+    # the threshold check's stacked call: F - V is the second member, in a
+    # real stack and in a complex one, where it has no imaginary part
+    pair = NGMPair(zeros, identity(len(raw)), tuple("abcd"[:len(raw)]))
+    rotation = np.zeros(len(raw), dtype=complex)
+    rotation[:2] = [1.0j, -1.0j]
+    for k_values in (np.ones(len(raw)), rotation):
+        monkeypatch.setattr(eigen, "_eigvals",
+                            lambda a: np.array([k_values, raw]))
+        report = dfe_threshold_check(pair)
+        assert report.abscissa.hex() == expected.hex()
+        assert report.r0 == 1.0
 
 
 def test_spectra_not_closed_under_conjugation_raise_everywhere(monkeypatch):
+    bad = np.array([1.0 + 1.0j, 2.0 + 0.0j])
+    # the same values for a matrix and for every member of a stack
     monkeypatch.setattr(np.linalg, "eigvals",
-                        lambda a: np.array([1.0 + 1.0j, 2.0 + 0.0j]))
+                        lambda a: np.broadcast_to(bad, a.shape[:-1]))
     a = Matrix([[1.0, 2.0], [3.0, 4.0]])
+    pair = NGMPair(a, identity(2), ("a", "b"))
     messages = set()
-    for fn in (eigenvalues, spectral_radius, spectral_abscissa):
+    for fn, arg in ((eigenvalues, a), (spectral_radius, a),
+                    (spectral_abscissa, a), (_spectral_radii, a._a[None]),
+                    (dfe_threshold_check, pair)):
         with pytest.raises(ConvergenceError) as info:
-            fn(a)
+            fn(arg)
         messages.add(str(info.value))
     assert len(messages) == 1
+    # a closed K spectrum: the check raises on F - V's
     monkeypatch.setattr(np.linalg, "eigvals",
-                        lambda a: np.array([[1.0 + 1.0j, 2.0 + 0.0j]]))
+                        lambda a: np.array([[2.0 + 0.0j, 1.0 + 0.0j], bad]))
     with pytest.raises(ConvergenceError) as info:
-        _spectral_radii(a._a[None])
+        dfe_threshold_check(pair)
     assert str(info.value) in messages
 
 

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from ngmlimit import minorlimit, ngm
 from ngmlimit.densela import Matrix, identity, inverse, matmul, minor
-from ngmlimit.eigen import eigenvalues
+from ngmlimit.eigen import eigenvalues, spectral_abscissa
 from ngmlimit.errors import ConfigError, SingularMatrixError
 from ngmlimit.minorlimit import (DiagonalRay, _downdated_minor_inverse,
                                  assemble_limit_inverse, exact_minor_inverse,
@@ -193,6 +193,30 @@ def test_threshold_unstable_case():
 def test_threshold_critical_case():
     report = dfe_threshold_check(scalar_pair(1.0, 1.0))
     assert report.consistent and report.critical
+
+
+def test_threshold_report_equals_r0_and_abscissa_on_dense_pairs():
+    # one stacked eigenvalue call gives what two separate calls give, with
+    # real and complex spectra mixed in one stack either way round
+    rng = np.random.default_rng(78)
+    kinds = set()
+    for n in (1, 2, 3, 5, 8):
+        for _ in range(30):
+            pair = random_mmatrix_pair(rng, n)
+            if rng.random() < 0.5:
+                # a general V, for K spectra that are complex too
+                v = rng.uniform(-1.0, 1.0, (n, n)) + 2.0 * np.eye(n)
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore", MMatrixWarning)
+                    pair = NGMPair(pair.F, Matrix._wrap(v), pair.labels)
+            k = matmul(pair.F, pair.V_inv)
+            kinds.add(tuple(np.linalg.eigvals(m._a).dtype.kind
+                            for m in (k, pair.F - pair.V)))
+            report = dfe_threshold_check(pair)
+            assert report.r0.hex() == r0(pair).hex()
+            assert report.abscissa.hex() == \
+                spectral_abscissa(pair.F - pair.V).hex()
+    assert kinds == {("f", "f"), ("f", "c"), ("c", "f"), ("c", "c")}
 
 
 def test_threshold_consistency_on_random_mmatrix_pairs():

@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 from ngmlimit import ngm, relapse
 from ngmlimit.densela import Matrix, inverse
 from ngmlimit.errors import ConfigError, SingularMatrixError
-from ngmlimit.ngm import r0, remove_compartment
+from ngmlimit.eigen import spectral_abscissa
+from ngmlimit.ngm import dfe_threshold_check, r0, remove_compartment
 from ngmlimit.relapse import (HostParams, R0Result, VectorParams,
                               build_coupled_ngm, build_uncoupled_ngm,
                               r0_coupled_closed, r0_uncoupled_closed,
@@ -303,6 +304,17 @@ def test_builder_inverse_is_inverse_of_v_bit_for_bit(hosts, vec):
     assert_same_bits(pair.V_inv, inverse(pair.V))
 
 
+@given(hosts=st.lists(chains(), min_size=1, max_size=3),
+       vec=st.builds(VectorParams, log_rate, log_rate, log_rate, log_rate))
+@settings(max_examples=150, deadline=None)
+def test_threshold_report_equals_r0_and_abscissa_bit_for_bit(hosts, vec):
+    # one stacked eigenvalue call gives what two separate calls give
+    pair = relapse._build_ngm(tuple(hosts), vec)
+    report = dfe_threshold_check(pair)
+    assert report.r0.hex() == r0(pair).hex()
+    assert report.abscissa.hex() == spectral_abscissa(pair.F - pair.V).hex()
+
+
 def test_long_chain_builder_inverse_is_inverse_of_v_bit_for_bit():
     rng = np.random.default_rng(58)
 
@@ -362,6 +374,10 @@ def outcome(fn):
 @pytest.mark.parametrize("host, vec, expected", [
     # pivot 2e-14 below the floor 1e-12 * 2
     (HostParams(1.0, 1.0, (1.0, 1e-14, 1.0), (1e-14, 1.0)), UNIT_VEC,
+     SingularMatrixError),
+    # the vector's pivot 1 is 1e-12 of the largest pivot but below the
+    # floor, 1e-12 of the largest row sum 1.5e12
+    (HostParams(1.0, 1.0, (1.0, 5e11, 5e11), (5e11, 5e11)), UNIT_VEC,
      SingularMatrixError),
     # every pivot is subnormal but above the floor; 1 / 5e-310 overflows
     (HostParams(1.0, 1.0, (5e-310,) * 3, (5e-310,) * 2),
