@@ -375,10 +375,6 @@ def outcome(fn):
     # pivot 2e-14 below the floor 1e-12 * 2
     (HostParams(1.0, 1.0, (1.0, 1e-14, 1.0), (1e-14, 1.0)), UNIT_VEC,
      SingularMatrixError),
-    # the vector's pivot 1 is 1e-12 of the largest pivot but below the
-    # floor, 1e-12 of the largest row sum 1.5e12
-    (HostParams(1.0, 1.0, (1.0, 5e11, 5e11), (5e11, 5e11)), UNIT_VEC,
-     SingularMatrixError),
     # every pivot is subnormal but above the floor; 1 / 5e-310 overflows
     (HostParams(1.0, 1.0, (5e-310,) * 3, (5e-310,) * 2),
      VectorParams(1.0, 1.0, 1.0, 5e-310), ValueError),
@@ -390,6 +386,10 @@ def outcome(fn):
     # V is finite but a row sum overflows: inf_norm warns
     (HostParams(1.0, 1.0, (1.0, 1.7e308, 1.7e308), (1e-300, 1e-300)),
      UNIT_VEC, RuntimeWarning),
+    # the vector's pivot 1 is 1e-12 of the largest pivot but below the
+    # floor, 1e-12 of the largest row sum 1.5e12
+    (HostParams(1.0, 1.0, (1.0, 5e11, 5e11), (5e11, 5e11)), UNIT_VEC,
+     SingularMatrixError),
 ])
 def test_builder_edge_inputs_fail_as_factoring_fails(host, vec, expected):
     got = outcome(lambda: build_uncoupled_ngm(host, vec, host.stages))
