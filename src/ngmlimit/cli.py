@@ -367,7 +367,7 @@ def cmd_ngm(config_path, out):
             "ngm": product.to_lists(),
             "eigenvalues": [{"re": v.real, "im": v.imag}
                             for v in spectrum.values],
-            "r0": r0(pair),
+            "r0": max(abs(v) for v in spectrum),  # r0(pair), bit for bit
         }), out)
 
 

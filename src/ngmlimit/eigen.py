@@ -5,6 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.linalg._umath_linalg import eigvals as _geev
 
 from .densela import Matrix, _require_square
 from .errors import ConvergenceError
@@ -78,13 +79,26 @@ def eigenvalues(a: Matrix) -> Spectrum:
     return Spectrum(_canonical_values(_eigvals(a._a)))
 
 
+def _raise_nonconvergence(err, flag):
+    raise ConvergenceError(
+        "eigenvalue iteration did not converge: Eigenvalues did not converge")
+
+
 def _eigvals(a: np.ndarray) -> np.ndarray:
-    """Raw eigenvalues of a square array or of every member of a stack."""
-    try:
-        return np.linalg.eigvals(a)
-    except np.linalg.LinAlgError as exc:
-        raise ConvergenceError(
-            f"eigenvalue iteration did not converge: {exc}") from exc
+    """Raw eigenvalues of a finite float64 (..., n, n) array.
+
+    This is ``np.linalg.eigvals`` without its per-call checks, which
+    every caller meets already: ``Matrix`` entries are finite float64,
+    and stacks are checked finite where they are formed. NumPy's own
+    LAPACK ``geev`` gufunc runs under the wrapper's errstate, so a
+    failed iteration raises ConvergenceError with the wrapper's message,
+    and, as the wrapper does, values come back real when no imaginary
+    part in the whole input is nonzero.
+    """
+    with np.errstate(call=_raise_nonconvergence, invalid="call",
+                     over="ignore", divide="ignore", under="ignore"):
+        raw = _geev(a, signature="d->D")
+    return raw if raw.imag.any() else raw.real
 
 
 def _each_member(stack: np.ndarray) -> list[np.ndarray]:

@@ -16,8 +16,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .densela import Matrix, _check_index, inverse, matmul, minor
-from .eigen import _abscissa, _each_member, _radius, spectral_radius
+from .densela import Matrix, _check_index, _require_finite, inverse, minor
+from .eigen import _abscissa, _each_member, _eigvals, _radius
 from .minorlimit import (ConvergenceReport, DiagonalRay,
                          _downdated_minor_inverse, _spectral_limit,
                          exact_minor_inverse)
@@ -116,8 +116,14 @@ class ThresholdReport:
 
 
 def r0(pair: NGMPair) -> float:
-    """Basic reproduction number: spectral radius of ``F V^-1``."""
-    return spectral_radius(matmul(pair.F, pair.V_inv))
+    """Basic reproduction number: spectral radius of ``F V^-1``.
+
+    The product is checked finite as ``matmul`` checks it, and its
+    radius is :func:`~ngmlimit.eigen.spectral_radius`'s, bit for bit.
+    """
+    k = pair.F._a @ pair.V_inv._a
+    _require_finite(k)
+    return _radius(_eigvals(k))
 
 
 def remove_compartment(pair: NGMPair, i: int) -> NGMPair:
@@ -149,13 +155,19 @@ def dfe_threshold_check(pair: NGMPair) -> ThresholdReport:
 
     The disease-free equilibrium is stable exactly when the spectral
     abscissa of F - V is negative, which should happen exactly when
-    r0 < 1. Both spectra come from one eigenvalue call on the stacked
-    ``F V^-1`` and ``F - V``; each is read as :func:`r0` and
+    r0 < 1. Both spectra come from one eigenvalue call on ``F V^-1`` and
+    ``F - V``, written in that order into one stack and each checked
+    finite as it is written, so an overflow raises as ``matmul`` and
+    ``Matrix.__sub__`` do; each is read as :func:`r0` and
     :func:`~ngmlimit.eigen.spectral_abscissa` read it.
     """
-    k = matmul(pair.F, pair.V_inv)
-    jacobian = pair.F - pair.V
-    k_values, jacobian_values = _each_member(np.array((k._a, jacobian._a)))
+    f = pair.F._a
+    stack = np.empty((2,) + f.shape)
+    np.matmul(f, pair.V_inv._a, out=stack[0])
+    _require_finite(stack[0])
+    np.subtract(f, pair.V._a, out=stack[1])
+    _require_finite(stack[1])
+    k_values, jacobian_values = _each_member(stack)
     value = _radius(k_values)
     abscissa = _abscissa(jacobian_values)
     s_r0 = _threshold_sign(value - 1.0)

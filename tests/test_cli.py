@@ -4,7 +4,8 @@ import math
 import pytest
 from click.testing import CliRunner
 
-from ngmlimit.cli import main, render_json
+from ngmlimit.cli import _parse_model, main, render_json
+from ngmlimit.ngm import r0
 
 UNIT_UNCOUPLED = {
     "model": {
@@ -260,6 +261,18 @@ def test_ngm_unit_example_blocks():
     moduli = sorted(abs(complex(e["re"], e["im"]))
                     for e in payload["eigenvalues"])
     assert moduli == pytest.approx([1.0, 1.0], rel=1e-12)
+
+
+@pytest.mark.parametrize("cfg", [UNIT_UNCOUPLED, THREE_FOUR_FIVE],
+                         ids=["uncoupled", "three-four-five"])
+def test_ngm_r0_is_r0_of_the_pair_bit_for_bit(cfg):
+    # the dump reads r0 off the spectrum it prints, with no second call
+    payload = json.loads(invoke(["ngm", "--config", "-"],
+                                stdin=json.dumps(cfg)).stdout)
+    pair, _ = _parse_model(cfg)
+    assert payload["r0"].hex() == r0(pair).hex()
+    assert payload["r0"] == max(abs(complex(e["re"], e["im"]))
+                                for e in payload["eigenvalues"])
 
 
 def test_ngm_labels_ordered_species_then_vector():

@@ -131,12 +131,46 @@ def test_eigenvalues_rejects_non_square():
 
 
 def test_lapack_failure_becomes_convergence_error(monkeypatch):
-    def boom(_):
-        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+    # the gufunc reports a failed iteration by raising the floating-point
+    # invalid flag, as this stand-in does
+    def no_convergence(a, signature):
+        return np.sqrt(np.full(a.shape[:-1], -1.0)).astype(complex)
 
-    monkeypatch.setattr(np.linalg, "eigvals", boom)
-    with pytest.raises(ConvergenceError):
+    monkeypatch.setattr(eigen, "_geev", no_convergence)
+    with pytest.raises(ConvergenceError) as info:
         eigenvalues(identity(2))
+    assert str(info.value) == ("eigenvalue iteration did not converge: "
+                               "Eigenvalues did not converge")
+
+
+def raw_bits(raw: np.ndarray):
+    """Shape, dtype kind and the hex of every real and imaginary part."""
+    return raw.shape, raw.dtype.kind, [
+        (float(v.real).hex(), float(v.imag).hex()) for v in raw.ravel()]
+
+
+def assert_kernel_is_public_eigvals(a: np.ndarray):
+    assert raw_bits(eigen._eigvals(a)) == raw_bits(np.linalg.eigvals(a))
+
+
+def test_kernel_equals_public_eigvals_bit_for_bit():
+    # eigen calls NumPy's private geev gufunc without the np.linalg.eigvals
+    # wrapper; a NumPy release that changes or moves it fails here
+    rng = np.random.default_rng(91)
+    for n in range(1, 14):
+        a = rng.uniform(-1.0, 1.0, (n, n)) * 10.0 ** rng.uniform(-3.0, 3.0)
+        for m in (a, a + a.T, np.zeros((n, n))):
+            assert_kernel_is_public_eigvals(m)
+        # stacks mixing symmetric (real) and nonsymmetric members, and a
+        # stack of symmetric members only
+        stack = rng.uniform(-1.0, 1.0, (9, n, n))
+        stack[::3] += stack[::3].transpose(0, 2, 1)
+        for s in (stack, stack + stack.transpose(0, 2, 1)):
+            assert_kernel_is_public_eigvals(s)
+    assert eigen._eigvals(stack).dtype.kind == "c"
+    assert eigen._eigvals(stack + stack.transpose(0, 2, 1)).dtype.kind == "f"
+    for value in (-0.0, 0.0, 2.5, -1e-300):
+        assert_kernel_is_public_eigvals(np.array([[value]]))
 
 
 def test_spectrum_is_a_value_container():
@@ -312,8 +346,8 @@ def test_abscissa_keeps_the_first_of_tied_signed_zeros(monkeypatch, raw):
 def test_spectra_not_closed_under_conjugation_raise_everywhere(monkeypatch):
     bad = np.array([1.0 + 1.0j, 2.0 + 0.0j])
     # the same values for a matrix and for every member of a stack
-    monkeypatch.setattr(np.linalg, "eigvals",
-                        lambda a: np.broadcast_to(bad, a.shape[:-1]))
+    monkeypatch.setattr(eigen, "_geev", lambda a, signature: np.broadcast_to(
+        bad, a.shape[:-1]))
     a = Matrix([[1.0, 2.0], [3.0, 4.0]])
     pair = NGMPair(a, identity(2), ("a", "b"))
     messages = set()
@@ -325,8 +359,8 @@ def test_spectra_not_closed_under_conjugation_raise_everywhere(monkeypatch):
         messages.add(str(info.value))
     assert len(messages) == 1
     # a closed K spectrum: the check raises on F - V's
-    monkeypatch.setattr(np.linalg, "eigvals",
-                        lambda a: np.array([[2.0 + 0.0j, 1.0 + 0.0j], bad]))
+    monkeypatch.setattr(eigen, "_geev", lambda a, signature: np.array(
+        [[2.0 + 0.0j, 1.0 + 0.0j], bad]))
     with pytest.raises(ConvergenceError) as info:
         dfe_threshold_check(pair)
     assert str(info.value) in messages

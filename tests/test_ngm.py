@@ -226,6 +226,35 @@ def test_threshold_consistency_on_random_mmatrix_pairs():
         assert dfe_threshold_check(pair).consistent
 
 
+def test_overflow_raises_in_the_order_products_are_formed():
+    def outcome(fn, pair):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            try:
+                value = fn(pair)
+            except ValueError as exc:
+                value = str(exc)
+        return value, [w.category for w in caught]
+
+    not_finite = "matrix entries must be finite (no NaN/Inf)"
+    # K = F V^-1 overflows: both raise on K, with matmul's one warning
+    pair = NGMPair(Matrix([[1e308, 1e308], [0.0, 0.0]]),
+                   Matrix([[0.5, 0.0], [0.0, 0.5]]), ("a", "b"))
+    for fn in (r0, dfe_threshold_check):
+        assert outcome(fn, pair) == (not_finite, [RuntimeWarning])
+    # K is finite, but F - V overflows, which only the check forms
+    pair = scalar_pair(1e308, -1e308)
+    assert outcome(r0, pair) == (0.9999999999999999, [])
+    assert outcome(dfe_threshold_check, pair) == (not_finite,
+                                                  [RuntimeWarning])
+    # both would overflow (a preset V_inv that is not V's inverse): the
+    # check raises on K before it forms F - V, so only matmul warns
+    pair = preset_pair(Matrix([[1.797e308]]), Matrix([[-1e306]]),
+                       Matrix([[2.0]]))
+    assert outcome(dfe_threshold_check, pair) == (not_finite,
+                                                  [RuntimeWarning])
+
+
 # ---------------------------------------------------------------------------
 # removal limit
 

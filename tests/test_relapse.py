@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ngmlimit import ngm, relapse
+from ngmlimit import eigen, ngm, relapse
 from ngmlimit.densela import Matrix, inverse
 from ngmlimit.errors import ConfigError, SingularMatrixError
 from ngmlimit.eigen import spectral_abscissa
@@ -313,6 +313,19 @@ def test_threshold_report_equals_r0_and_abscissa_bit_for_bit(hosts, vec):
     report = dfe_threshold_check(pair)
     assert report.r0.hex() == r0(pair).hex()
     assert report.abscissa.hex() == spectral_abscissa(pair.F - pair.V).hex()
+
+
+@given(hosts=st.lists(chains(), min_size=1, max_size=3),
+       vec=st.builds(VectorParams, log_rate, log_rate, log_rate, log_rate))
+@settings(max_examples=150, deadline=None)
+def test_kernel_equals_public_eigvals_on_relapse_pairs(hosts, vec):
+    # K, F - V and the two stacked, as r0 and the threshold check call it
+    pair = relapse._build_ngm(tuple(hosts), vec)
+    k, jacobian = (pair.F @ pair.V_inv)._a, (pair.F - pair.V)._a
+    for a in (k, jacobian, np.array((k, jacobian))):
+        private, public = eigen._eigvals(a), np.linalg.eigvals(a)
+        assert (private.dtype, private.shape) == (public.dtype, public.shape)
+        assert private.tobytes() == public.tobytes()
 
 
 def test_long_chain_builder_inverse_is_inverse_of_v_bit_for_bit():
