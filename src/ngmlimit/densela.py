@@ -331,32 +331,17 @@ def _first_low_pivot(pivots: np.ndarray, floors: np.ndarray) -> np.ndarray:
     return np.where(low.any(axis=1), low.argmax(axis=1) + 1, 0)
 
 
-def _inverse_stack(a: np.ndarray, floors: np.ndarray,
-                   varying: "int | None" = None):
+def _inverse_stack(a: np.ndarray, floors: np.ndarray):
     """Inverse of every member of a C-contiguous (B, n, n) stack.
 
-    ``a`` is overwritten by its LU factors (the first member's only, on
-    the lower-triangular path below); the inverse buffer doubles as the
-    factorization's scratch, so no third stack is allocated.
-    ``floors[b]`` is member b's pivot floor; ``varying`` (0-based) names
-    the column in which the members of a diagonal ray differ. Returns
+    ``a`` is overwritten by its LU factors; the inverse buffer doubles as
+    the factorization's scratch, so no third stack is allocated.
+    ``floors[b]`` is member b's pivot floor. Returns
     ``(inverses, column, pivots)`` with ``column`` and ``pivots`` as
     reported by :func:`_lu_stack`; a member with a nonzero column comes
     back as NaN.
-
-    A ray whose column ``varying`` is zero off the diagonal shares L
-    among its members, and so does a stack of one. If the first member
-    is lower triangular and needs no row swap (:func:`_swap_free_lower`),
-    the column loop is skipped (:func:`_lower_inverse_stack`); a single
-    member whose column ``varying`` is not zero below the diagonal goes
-    there as a plain matrix, its multipliers in that column kept.
     """
     count, n, _ = a.shape
-    sink = (varying is not None
-            and not np.count_nonzero(a[:, :varying, varying])
-            and not np.count_nonzero(a[:, varying + 1:, varying]))
-    if (count == 1 or sink) and _swap_free_lower(a[0]):
-        return _lower_inverse_stack(a, floors, varying if sink else None)
     inv = np.empty_like(a)
     diagonal = a.diagonal(0, 1, 2)[:, :, None]
     with np.errstate(all="ignore"):
@@ -366,16 +351,14 @@ def _inverse_stack(a: np.ndarray, floors: np.ndarray,
         inv.reshape(count * n, n)[np.arange(count * n), perm % n] = 1.0
         nonzero = (a != 0.0).any(axis=0)
         _substitute_lower(a, inv, nonzero)
+        # a row of U that is zero right of the diagonal in every member
+        # only divides
         upper = (nonzero & _below(n).T).any(axis=1).tolist()
-        if any(upper):
-            for k in range(n - 1, -1, -1):
-                if upper[k]:
-                    inv[:, k:k + 1] -= np.matmul(a[:, k:k + 1, k + 1:],
-                                                 inv[:, k + 1:])
-                inv[:, k] /= diagonal[:, k]
-        else:
-            # U is diagonal in every member: the same divisions, at once
-            inv /= diagonal
+        for k in range(n - 1, -1, -1):
+            if upper[k]:
+                inv[:, k:k + 1] -= np.matmul(a[:, k:k + 1, k + 1:],
+                                             inv[:, k + 1:])
+            inv[:, k] /= diagonal[:, k]
     if np.count_nonzero(column):
         inv[column > 0] = np.nan
     return inv, column, pivots
@@ -408,64 +391,6 @@ def _substitute_lower(lu: np.ndarray, inv: np.ndarray,
         inv[:, k:k + 1] -= np.matmul(lu[:, k:k + 1, :k], inv[:, :k])
 
 
-def _swap_free_lower(a: np.ndarray) -> bool:
-    """Whether the n x n ``a`` is lower triangular with each diagonal
-    entry at least as large in magnitude as every entry below it. Partial
-    pivoting then keeps each diagonal entry (argmax takes the first of a
-    tie), every rank-one update is null and U is diag(a).
-    """
-    if np.count_nonzero(a[_below(len(a)).T]):
-        return False
-    magnitudes = np.abs(a)
-    return bool((magnitudes.max(axis=0) <= magnitudes.diagonal()).all())
-
-
-def _lower_inverse_stack(a: np.ndarray, floors: np.ndarray,
-                         varying: "int | None"):
-    """:func:`_inverse_stack` of a stack whose members share L and whose
-    first member :func:`_swap_free_lower` accepts.
-
-    ``L^-1`` is formed once (:func:`_unit_lower_inverse`), and each
-    member's inverse is its rows divided by that member's diagonal, as
-    the general kernel divides them. Results are bit for bit the general
-    kernel's.
-    """
-    diagonal = a.diagonal(0, 1, 2).copy()
-    pivots = np.abs(diagonal)
-    column = _first_low_pivot(pivots, floors)
-    with np.errstate(all="ignore"):
-        inv = _unit_lower_inverse(a[0], varying) / diagonal[:, :, None]
-    if np.count_nonzero(column):
-        inv[column > 0] = np.nan
-    return inv, column, pivots
-
-
-def _unit_lower_inverse(lower: np.ndarray,
-                        varying: "int | None") -> np.ndarray:
-    """``L^-1``, L being the unit lower factor of the n x n ``lower``,
-    which :func:`_swap_free_lower` accepts; ``lower`` is overwritten by L.
-
-    The column loop would only divide each column below the diagonal by
-    its pivot; those divisions are made at once. Column ``varying`` is
-    zero below the diagonal in every member of a ray's stack, and is set
-    so here, where its own pivot may be zero. A bidiagonal L goes to
-    :func:`_bidiagonal_inverse`. A zero pivot makes NaN; callers silence
-    the warnings that raises.
-    """
-    n = len(lower)
-    below = _below(n)
-    np.divide(lower, lower.diagonal().copy(), out=lower, where=below)
-    if varying is not None:
-        lower[varying + 1:, varying] = 0.0
-    # a nonzero below the diagonal but off the subdiagonal: L is not
-    # bidiagonal
-    if np.count_nonzero(lower[below]) > np.count_nonzero(lower.diagonal(-1)):
-        y = np.eye(n)[None]
-        _substitute_lower(lower[None], y, lower != 0.0)
-        return y[0]
-    return _bidiagonal_inverse(lower.diagonal(-1))
-
-
 def _bidiagonal_inverse(multipliers) -> np.ndarray:
     """``L^-1``, L being unit lower bidiagonal with ``multipliers`` (n - 1
     values) on its subdiagonal, as the forward substitution forms it.
@@ -473,8 +398,8 @@ def _bidiagonal_inverse(multipliers) -> np.ndarray:
     Each row of the substitution has one nonzero product, so column c of
     ``L^-1`` is 1 at row c, then at each row r below it the running
     product of -l_r, l_r being row r's multiplier; ``+ 0.0`` turns each
-    zero into the +0 the substitution leaves. No multiplier of a
-    :func:`_swap_free_lower` matrix exceeds 1 in magnitude, so no product
+    zero into the +0 the substitution leaves. Where partial pivoting
+    swaps no row, no multiplier exceeds 1 in magnitude, so no product
     overflows.
     """
     n = len(multipliers) + 1

@@ -24,11 +24,11 @@ from typing import Sequence
 
 import numpy as np
 
-from .densela import (SINGULARITY_RTOL, Matrix, _check_index,
-                      _check_integer, _check_positive, _check_real,
-                      _first_low_pivot, _inverse_stack, _require_finite,
-                      _swap_free_lower, _unit_lower_inverse, determinant,
-                      inf_norm, inverse, matmul, minor, set_entry)
+from .densela import (SINGULARITY_RTOL, Matrix, _bidiagonal_inverse,
+                      _check_index, _check_integer, _check_positive,
+                      _check_real, _first_low_pivot, _inverse_stack,
+                      _require_finite, determinant, inf_norm, inverse,
+                      matmul, minor, set_entry)
 from .eigen import _spectral_radii, spectral_radius
 from .errors import ConfigError, ConvergenceError, SingularMatrixError
 
@@ -396,12 +396,16 @@ def _spectral_limit(f: Matrix, v_ray: DiagonalRay, minor_inverse: Matrix,
 
 
 def _last_stage_schedule(ray: DiagonalRay, ts: Sequence[float]):
-    """:func:`_invert_schedule` of a ray whose column i is zero off the
-    diagonal and whose base :func:`_swap_free_lower` accepts (a chain's
-    last stage), without the stack of inverses; None for any other ray.
+    """:func:`_invert_schedule` of a ray whose base is lower bidiagonal,
+    with column i zero below the diagonal and no entry larger in
+    magnitude than the pivot above it (a chain's last stage), without
+    the stack of inverses; None for any other ray.
 
     Each point is then ``A(t) = L D(t)``, L shared and D(t) its diagonal,
     so ``A(t)^-1 = D(t)^-1 L^-1`` differs between points in row i alone.
+    Partial pivoting keeps every pivot and makes no update, so L's
+    multipliers are the general kernel's, and ``L^-1`` is formed as its
+    forward substitution forms it (:func:`_bidiagonal_inverse`).
     Returns the rows other than i of every ``A(t)^-1`` (n - 1 x n), row i
     at each usable point, and each point's usable and flag, from the
     values and reductions :func:`_invert_schedule` takes: row i of
@@ -409,11 +413,16 @@ def _last_stage_schedule(ray: DiagonalRay, ts: Sequence[float]):
     """
     a = ray.base._a
     c = ray.i - 1
-    if (np.count_nonzero(a[:c, c]) or np.count_nonzero(a[c + 1:, c])
-            or not _swap_free_lower(a)):
+    pivots, below = a.diagonal(), a.diagonal(-1)
+    # every nonzero on the diagonal or just below it
+    bidiagonal = (np.count_nonzero(a)
+                  == np.count_nonzero(pivots) + np.count_nonzero(below))
+    # pivoting swaps no row where no entry outweighs the pivot above it
+    if (not bidiagonal or np.count_nonzero(below[c:c + 1])
+            or (np.abs(below) > np.abs(pivots[:-1])).any()):
         return None
     keep = np.delete(np.arange(len(a)), c)
-    diagonal = np.repeat(a.diagonal()[None], len(ts), axis=0)
+    diagonal = np.repeat(pivots[None], len(ts), axis=0)
     diagonal[:, c] = ts
     magnitudes = np.abs(a)
     row = np.repeat(magnitudes[c, None], len(ts), axis=0)
@@ -422,8 +431,11 @@ def _last_stage_schedule(ray: DiagonalRay, ts: Sequence[float]):
     floors = SINGULARITY_RTOL * norms
     usable = _first_low_pivot(np.abs(diagonal), floors) == 0
     with np.errstate(all="ignore"):
-        y = _unit_lower_inverse(a.copy(), c)
-        kept = y[keep] / a.diagonal()[keep, None]
+        multipliers = below / pivots[:-1]
+        # column c is zero below the diagonal, and its own pivot may be 0
+        multipliers[c:c + 1] = 0.0
+        y = _bidiagonal_inverse(multipliers)
+        kept = y[keep] / pivots[keep, None]
         last = y[c] / diagonal[:, c, None]
     inverse_norms = np.maximum(np.abs(kept).sum(axis=1).max(),
                                np.abs(last).sum(axis=1))
@@ -440,8 +452,7 @@ def _invert_schedule(ray: DiagonalRay, ts: Sequence[float]):
     """
     stack = ray.at_many(ts)
     norms = np.abs(stack).sum(axis=2).max(axis=1)
-    inverses, column, _ = _inverse_stack(stack, SINGULARITY_RTOL * norms,
-                                         ray.i - 1)
+    inverses, column, _ = _inverse_stack(stack, SINGULARITY_RTOL * norms)
     # the factored stack is spent; it holds |A(t)^-1| for the estimate
     inverse_norms = np.abs(inverses, out=stack).sum(axis=2).max(axis=1)
     usable = column == 0

@@ -24,7 +24,7 @@ from typing import ClassVar, Sequence
 import numpy as np
 
 from .densela import (SINGULARITY_RTOL, Matrix, _bidiagonal_inverse,
-                      _check_positive, _check_rates)
+                      _check_integer, _check_positive, _check_rates)
 from .errors import ConfigError
 from .minorlimit import ConvergenceReport, default_schedule
 from .ngm import NGMPair, r0_removal_limit, remove_compartment
@@ -87,6 +87,7 @@ class HostParams:
         The slices of checked rates need no second check, so the copy
         skips ``__post_init__``.
         """
+        _check_integer("j", j)
         if not 1 <= j <= self.stages:
             raise ValueError(f"cannot truncate a {self.stages}-stage chain "
                              f"to {j} stages")
@@ -186,11 +187,12 @@ def _build_ngm(hosts: Sequence[HostParams], vec: VectorParams) -> NGMPair:
     f, v = Matrix._wrap(f), Matrix._wrap(v)
     pair = NGMPair.__new__(NGMPair)
     # inverse(V), bit for bit: V is lower bidiagonal and each pivot
-    # alpha_l + mu_l is at least the alpha_l below it, so inverse takes
-    # its swap-free lower path and ends in this division. A row of |V|
-    # has at most two nonzeros, so its sum is one addition, as NumPy's
-    # row sum in inf_norm makes it. Below the pivot floor V_inv stays
-    # unset, and NGMPair factors V and raises.
+    # alpha_l + mu_l is at least the alpha_l below it, so the general
+    # kernel swaps no row and makes no update; its forward substitution
+    # forms _bidiagonal_inverse of these multipliers, and it ends in this
+    # division. A row of |V| has at most two nonzeros, so its sum is one
+    # addition, as NumPy's row sum in inf_norm makes it. Below the pivot
+    # floor V_inv stays unset, and NGMPair factors V and raises.
     norm = max(d - l for d, l in zip(diagonal, lower))
     if min(diagonal) >= SINGULARITY_RTOL * norm:
         multipliers = [l / d for l, d in zip(lower[1:], diagonal)]
@@ -274,11 +276,13 @@ def relapse_limit_experiment(
     (default ``j - 1``, a single step). Requires j >= 2: removal must
     leave at least one species-1 stage.
     """
+    _check_integer("j", j)
     if j < 2:
         raise ValueError("the removal experiment needs j >= 2 so a stage "
                          "can be removed")
     if k_final is None:
         k_final = j - 1
+    _check_integer("k_final", k_final)
     if not 1 <= k_final <= j - 1:
         raise ValueError(f"k_final must be in 1..{j - 1}, got {k_final}")
 

@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ngmlimit import densela
 from ngmlimit.densela import (SINGULARITY_RTOL, Matrix, _determinant_stack,
                               _inverse_stack, determinant, identity,
                               inf_norm, inverse, matmul, minor, set_entry)
@@ -391,7 +390,7 @@ def test_ray_stack_shared_prefix_equals_reference_bit_for_bit(n):
     for c in range(n):
         stack = ray_stack(base, c, ts)
         inverses, column, _ = _inverse_stack(stack.copy(),
-                                             stack_floors(stack), c)
+                                             stack_floors(stack))
         assert not column.any()
         for member, inv in zip(stack, inverses):
             assert np.array_equal(inv, loop_inverse(member))
@@ -402,8 +401,7 @@ def test_ladder_ray_shared_prefix_equals_reference_bit_for_bit(j):
     # the stacked engine on a ladder schedule, whose points share the steps
     # before column j, against each member's one-matrix elimination
     stack = ladder_v_schedule(j)
-    inverses, column, _ = _inverse_stack(stack.copy(), stack_floors(stack),
-                                         j - 1)
+    inverses, column, _ = _inverse_stack(stack.copy(), stack_floors(stack))
     assert not column.any()
     for member, inv in zip(stack, inverses):
         assert np.array_equal(inv, loop_inverse(member))
@@ -422,7 +420,7 @@ def test_zero_pivot_in_shared_prefix_flags_every_member():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         inverses, column, pivots = _inverse_stack(stack.copy(),
-                                                 stack_floors(stack), 3)
+                                                 stack_floors(stack))
     assert column.tolist() == [2, 2, 2]
     assert np.isnan(inverses).all()
     for member, piv in zip(stack, pivots):
@@ -442,7 +440,7 @@ def test_member_singular_at_its_own_t_is_the_only_one_flagged():
     ts = [0.5, 2.0, 3.0, 100.0]
     stack = ray_stack(base, 1, ts)
     inverses, column, pivots = _inverse_stack(stack.copy(),
-                                             stack_floors(stack), 1)
+                                             stack_floors(stack))
     assert column.tolist() == [0, 3, 0, 0]
     with pytest.raises(SingularMatrixError) as single:
         inverse(Matrix._wrap(stack[1]))
@@ -498,7 +496,7 @@ def test_triangular_rays_equal_reference_bit_for_bit_at_every_i(n):
         for c in range(n):
             stack = ray_stack(base, c, ts)
             inverses, column, _ = _inverse_stack(stack.copy(),
-                                                 stack_floors(stack), c)
+                                                 stack_floors(stack))
             assert_members_equal_reference(stack, inverses, column)
 
 
@@ -506,10 +504,8 @@ def test_triangular_rays_equal_reference_bit_for_bit_at_every_i(n):
 def test_relapse_v_equals_reference_bit_for_bit(j):
     # V is lower bidiagonal: every update and back substitution is skipped
     stack = ladder_v_schedule(j)
-    for varying in (0, j - 1):
-        inverses, column, _ = _inverse_stack(stack.copy(),
-                                             stack_floors(stack), varying)
-        assert_members_equal_reference(stack, inverses, column)
+    inverses, column, _ = _inverse_stack(stack.copy(), stack_floors(stack))
+    assert_members_equal_reference(stack, inverses, column)
     v = stack[0]
     assert same_bits(inverse(Matrix._wrap(v))._a, loop_inverse(v))
 
@@ -557,69 +553,60 @@ def test_failed_member_inside_a_skipped_region():
 
 
 # ---------------------------------------------------------------------------
-# swap-free lower-triangular stacks: no column loop, one L^-1 per ray
+# lower-triangular stacks: every member is its own elimination
 
-def both_kernels(monkeypatch, stack, varying=None):
-    """``_inverse_stack`` of ``stack`` as it runs and with the
-    lower-triangular path switched off. Returns both results and whether
-    the first one took that path."""
-    taken = []
-    lower_path = densela._lower_inverse_stack
-
-    def spy(*args):
-        taken.append(True)
-        return lower_path(*args)
-
+def assert_stack_equals_reference(stack: np.ndarray) -> np.ndarray:
+    """``_inverse_stack`` of ``stack``, each member against its own
+    Python-loop elimination: a nonsingular member's inverse to the bit; a
+    singular one's failing column and pivot, its inverse NaN. A failed
+    member raises no warning. Returns the failing columns."""
+    floors = stack_floors(stack)
     with warnings.catch_warnings():
         warnings.simplefilter("error")            # failed members stay quiet
-        with monkeypatch.context() as m:
-            m.setattr(densela, "_lower_inverse_stack", spy)
-            got = _inverse_stack(stack.copy(), stack_floors(stack), varying)
-        with monkeypatch.context() as m:
-            m.setattr(densela, "_swap_free_lower", lambda a: False)
-            general = _inverse_stack(stack.copy(), stack_floors(stack),
-                                     varying)
-    return got, general, bool(taken)
-
-
-def assert_same_results(got, general):
-    """Inverses, failing columns and pivots equal to the bit."""
-    for x, y in zip(got, general):
-        assert same_bits(x, y)
+        inverses, column, pivots = _inverse_stack(stack.copy(), floors)
+    for member, floor, inv, k, piv in zip(stack, floors, inverses,
+                                          column.tolist(), pivots):
+        try:
+            loop_lu(member, floor)
+        except SingularMatrixError as reference:
+            assert k == reference.column
+            assert piv[k - 1] == reference.pivot
+            assert np.isnan(inv).all()
+        else:
+            assert k == 0
+            assert same_bits(inv, loop_inverse(member))
+    return column
 
 
 RAY_TS = [-2.0, 0.5, 3.0, 7.0, 1e3, 1e9]
 
 
 @pytest.mark.parametrize("j", [1, 2, 10, 40])
-def test_relapse_v_and_last_stage_ray_take_the_lower_path(monkeypatch, j):
+def test_relapse_v_and_last_stage_ray_take_the_lower_path(j):
+    # a single relapse V and a ray at species 1's last stage are swap-free
+    # lower triangles: the general kernel skips their zero rows of L and
+    # each member still equals its own elimination
     stack = ladder_v_schedule(j)
-    for member, varying in ((stack[:1], None), (stack, j - 1)):
-        got, general, taken = both_kernels(monkeypatch, member, varying)
-        assert taken
-        assert not got[1].any()
-        assert_same_results(got, general)
-        for m, inv in zip(member, got[0]):
-            assert same_bits(inv, loop_inverse(m))
+    for member in (stack[:1], stack):
+        assert not assert_stack_equals_reference(member).any()
 
 
 @pytest.mark.parametrize("j", [3, 10])
-def test_first_and_middle_stage_rays_take_the_general_kernel(monkeypatch, j):
+def test_first_and_middle_stage_rays_take_the_general_kernel(j):
+    # column c of a first or middle stage holds a multiplier below the
+    # diagonal, which the members of its ray share
     v = ladder_v_schedule(j)[0]
     for c in (0, j // 2):
-        stack = ray_stack(v, c, RAY_TS)
-        got, general, taken = both_kernels(monkeypatch, stack, c)
-        assert not taken
-        assert_same_results(got, general)
-        for member, inv in zip(stack, got[0]):
-            assert same_bits(inv, loop_inverse(member))
+        assert not assert_stack_equals_reference(
+            ray_stack(v, c, RAY_TS)).any()
 
 
 @pytest.mark.parametrize("j", [3, 10])
-def test_one_point_rays_keep_their_varying_column(monkeypatch, j):
-    # a ray of one member shares L with no other: at a first or middle
-    # stage its column c holds multipliers below the diagonal, which the
-    # lower path must keep (a one-value schedule inverts such a stack)
+def test_one_point_rays_keep_their_varying_column(j):
+    # a one-value schedule inverts a ray of one member. At a first or
+    # middle stage its column c holds multipliers below the diagonal,
+    # which must be kept: zeroing them, as a last stage allows, gives a
+    # wrong inverse
     v = ladder_v_schedule(j)[0]
     rng = np.random.default_rng(j)
     triangle = np.tril(rng.uniform(-1.0, 1.0, (j, j))) + 3.0 * np.eye(j)
@@ -627,15 +614,11 @@ def test_one_point_rays_keep_their_varying_column(monkeypatch, j):
         for c in (0, j // 2):
             assert np.count_nonzero(base[c + 1:, c])
             for t in (3.0, 1e3, 1e9):
-                stack = ray_stack(base, c, [t])
-                got, general, taken = both_kernels(monkeypatch, stack, c)
-                assert taken
-                assert not got[1].any()
-                assert_same_results(got, general)
-                assert same_bits(got[0][0], loop_inverse(stack[0]))
+                assert not assert_stack_equals_reference(
+                    ray_stack(base, c, [t])).any()
 
 
-def test_non_bidiagonal_lower_triangle_substitutes_by_rows(monkeypatch):
+def test_non_bidiagonal_lower_triangle_substitutes_by_rows():
     rng = np.random.default_rng(91)
     for n in (3, 6, 13, 30):
         base = np.tril(rng.uniform(-1.0, 1.0, (n, n))) + 3.0 * np.eye(n)
@@ -643,87 +626,66 @@ def test_non_bidiagonal_lower_triangle_substitutes_by_rows(monkeypatch):
         c = n // 2
         sink = base.copy()
         sink[c + 1:, c] = 0.0
-        for stack, varying in ((base[None], None),
-                               (ray_stack(base, n - 1, RAY_TS), n - 1),
-                               (ray_stack(sink, c, RAY_TS), c)):
-            got, general, taken = both_kernels(monkeypatch, stack, varying)
-            assert taken
-            assert not got[1].any()
-            assert_same_results(got, general)
-            for member, inv in zip(stack, got[0]):
-                assert same_bits(inv, loop_inverse(member))
+        for stack in (base[None], ray_stack(base, n - 1, RAY_TS),
+                      ray_stack(sink, c, RAY_TS)):
+            assert not assert_stack_equals_reference(stack).any()
 
 
-def test_lower_triangle_needing_a_swap_takes_the_general_kernel(monkeypatch):
+def test_lower_triangle_needing_a_swap_takes_the_general_kernel():
     # column 1's subdiagonal outweighs its diagonal: pivoting swaps rows
     v = np.array([[1.0, 0.0, 0.0], [3.0, 2.0, 0.0], [0.0, 1.0, 4.0]])
-    for stack, varying in ((v[None], None), (ray_stack(v, 2, RAY_TS), 2)):
-        got, general, taken = both_kernels(monkeypatch, stack, varying)
-        assert not taken
-        assert_same_results(got, general)
-        for member, inv in zip(stack, got[0]):
-            assert same_bits(inv, loop_inverse(member))
+    assert loop_lu(v, 0.0)[1].tolist() != [0, 1, 2]
+    for stack in (v[None], ray_stack(v, 2, RAY_TS)):
+        assert not assert_stack_equals_reference(stack).any()
 
 
-def test_ray_varying_above_the_diagonal_takes_the_general_kernel(
-        monkeypatch):
+def test_ray_varying_above_the_diagonal_takes_the_general_kernel():
     # members may differ anywhere in column c: one with an entry above
     # the diagonal there is not triangular, although the first member is
     v = ladder_v_schedule(3)[0]
     stack = ray_stack(v, 2, RAY_TS)
     stack[1, 0, 2] = 0.5
-    got, general, taken = both_kernels(monkeypatch, stack, 2)
-    assert not taken
-    for member, inv in zip(stack, got[0]):
-        assert same_bits(inv, loop_inverse(member))
+    assert_stack_equals_reference(stack)
 
 
-def test_pivot_tie_keeps_the_diagonal(monkeypatch):
+def test_pivot_tie_keeps_the_diagonal():
     for rows in ([[2.0, 0.0], [-2.0, 3.0]],
                  [[-2.0, 0.0, 0.0], [2.0, 1.0, 0.0], [0.5, -1.0, 5.0]]):
         v = np.array(rows)
-        got, general, taken = both_kernels(monkeypatch, v[None])
-        assert taken
-        assert_same_results(got, general)
-        assert same_bits(got[0][0], loop_inverse(v))
+        assert loop_lu(v, 0.0)[1].tolist() == list(range(len(v)))
+        assert not assert_stack_equals_reference(v[None]).any()
 
 
-def test_zero_pivot_raises_the_general_kernels_error(monkeypatch):
+def test_zero_pivot_raises_the_general_kernels_error():
     cases = [
-        [[1.0, 0.0, 0.0], [0.5, 0.0, 0.0], [0.0, 0.0, 2.0]],   # zero, col 2
-        [[0.0, 0.0], [0.0, 1.0]],                            # zero, col 1
-        [[1.0, 0.0], [0.5, 1e-14]],                          # below floor
+        ([[1.0, 0.0, 0.0], [0.5, 0.0, 0.0], [0.0, 0.0, 2.0]],
+         "zero pivot in column 2"),
+        ([[0.0, 0.0], [0.0, 1.0]], "zero pivot in column 1"),
+        ([[1.0, 0.0], [0.5, 1e-14]],
+         "pivot 1.000e-14 in column 2 is below the singularity threshold "
+         "1.000e-12"),
     ]
-    for rows in cases:
-        errors = []
-        for switch_off in (False, True):
-            with monkeypatch.context() as m:
-                if switch_off:
-                    m.setattr(densela, "_swap_free_lower", lambda a: False)
-                with pytest.raises(SingularMatrixError) as info:
-                    inverse(Matrix(rows))
-            errors.append((str(info.value), info.value.pivot,
-                           info.value.column))
-        assert errors[0] == errors[1]
-        got, general, taken = both_kernels(monkeypatch, np.array(rows)[None])
-        assert taken
-        assert_same_results(got, general)
+    for rows, detail in cases:
+        a = np.array(rows)
+        column = assert_stack_equals_reference(a[None])
+        with pytest.raises(SingularMatrixError) as reference:
+            loop_lu(a, SINGULARITY_RTOL * inf_norm(Matrix(rows)))
+        with pytest.raises(SingularMatrixError) as got:
+            inverse(Matrix(rows))
+        assert str(got.value) == \
+            f"matrix is singular to working tolerance: {detail}"
+        assert got.value.pivot == reference.value.pivot
+        assert got.value.column == reference.value.column == column[0]
 
 
-def test_member_singular_at_its_own_t_on_a_shared_ray(monkeypatch):
-    # t = 0 at a last stage: 0 / 0 in that member's L, which the members
-    # sharing L must not see
+def test_member_singular_at_its_own_t_on_a_shared_ray():
+    # t = 0 at a last stage: 0 / 0 multipliers in that member's column j,
+    # which the members sharing L must not see
     j = 10
     v = ladder_v_schedule(j)[0]
     for ts in ([0.0, 5.0, 1e6], [5.0, 0.0, 1e6]):
-        stack = ray_stack(v, j - 1, ts)
-        got, general, taken = both_kernels(monkeypatch, stack, j - 1)
-        assert taken
-        assert got[1].tolist() == [j if t == 0.0 else 0 for t in ts]
-        assert_same_results(got, general)
-        for member, inv, t in zip(stack, got[0], ts):
-            if t:
-                assert same_bits(inv, loop_inverse(member))
+        column = assert_stack_equals_reference(ray_stack(v, j - 1, ts))
+        assert column.tolist() == [j if t == 0.0 else 0 for t in ts]
 
 
 def ray_determinant_cases():

@@ -492,25 +492,43 @@ def lower_sink_ray(n: int, i: int) -> DiagonalRay:
 @pytest.mark.parametrize("i", [8, 4])
 def test_last_stage_schedule_substitutes_where_l_is_not_bidiagonal(
         monkeypatch, i):
+    # L^-1 is formed by the bidiagonal formula only; any other L goes to
+    # the stacked kernel, whose forward substitution runs by rows
     ray = lower_sink_ray(8, i)
-    substitutions = []
-    substitute = densela._substitute_lower
-    monkeypatch.setattr(densela, "_substitute_lower", lambda *args: (
-        substitutions.append(True), substitute(*args)))
     # 1e-11 (at i = 8) and 9e11: flagged, kept; 1e-14 and 1e13: below the
     # floor
     ts = (1e-14, 1e-11, 1e-3, 1.0, 1e3, 1e6, 1e9, 9e11, 1e13)
-    usable, flags = assert_schedule_as_stacked(ray, ts)
-    assert substitutions
+    assert _last_stage_schedule(ray, ts) is None
+    _, usable, flags = _invert_schedule(ray, ts)
     kept = [ok and flag for ok, flag in zip(usable, flags)]
     assert kept == [False, i == 8] + [False] * 5 + [True, False]
     assert [not ok for ok in usable] == [True] + [False] * 7 + [True]
     f = Matrix._wrap(np.diag([0.0, 1.0, 0.0, 0.0, 2.0, 0.0, 0.0, 1.0])
                      + np.eye(8, k=-2))
+    substitutions = []
+    substitute = densela._substitute_lower
+    monkeypatch.setattr(densela, "_substitute_lower", lambda *args: (
+        substitutions.append(True), substitute(*args)))
     _, report = spectral_limit(f, ray, ts, target=0.0)
+    assert substitutions
     assert report.flagged == tuple(flags)
     assert all(math.isfinite(e) == ok
                for e, ok in zip(report.errors, usable))
+    assert_radii_near_one_matrix(f, ray, report)
+
+
+def test_last_stage_ray_needing_a_row_swap_is_stacked():
+    # bidiagonal, column 3 zero below the diagonal, but column 1's
+    # subdiagonal outweighs its pivot: elimination swaps rows, so L is not
+    # the base's columns over their pivots, and the stack is inverted
+    ray = DiagonalRay(Matrix([[1.0, 0.0, 0.0], [3.0, 2.0, 0.0],
+                              [0.0, 1.0, 4.0]]), 3)
+    ts = quarter_decades(ray)
+    assert _last_stage_schedule(ray, ts) is None
+    assert _last_stage_schedule(DiagonalRay(set_entry(ray.base, 2, 1, 1.0),
+                                            3), ts) is not None
+    f = Matrix([[0.0, 1.0, 1.0], [0.0, 0.0, 0.0], [2.0, 0.0, 0.0]])
+    _, report = spectral_limit(f, ray, ts, target=0.0)
     assert_radii_near_one_matrix(f, ray, report)
 
 

@@ -300,6 +300,8 @@ def assert_same_bits(a: Matrix, b: Matrix):
        vec=st.builds(VectorParams, log_rate, log_rate, log_rate, log_rate))
 @settings(max_examples=150, deadline=None)
 def test_builder_inverse_is_inverse_of_v_bit_for_bit(hosts, vec):
+    # the builder's bidiagonal closed form against the LU kernel's
+    # elimination of V
     pair = relapse._build_ngm(tuple(hosts), vec)
     assert_same_bits(pair.V_inv, inverse(pair.V))
 
@@ -499,3 +501,20 @@ def test_experiment_k_final_bounds():
         relapse_limit_experiment(host1, host2, vec, 3, k_final=0)
     with pytest.raises(ValueError):
         relapse_limit_experiment(host1, host2, vec, 3, k_final=3)
+
+
+@pytest.mark.parametrize("bad", [2.0, True, "3"])
+def test_stage_counts_must_be_integers(bad):
+    # 2.0 and "3" would fail in a slice or a range, and True would count
+    # as one stage
+    rng = np.random.default_rng(64)
+    host1, host2 = random_host(rng, 3), random_host(rng, 3)
+    vec = random_vector(rng)
+    calls = [("j", lambda: host1.truncated(bad)),
+             ("j", lambda: relapse_limit_experiment(host1, host2, vec, bad)),
+             ("k_final", lambda: relapse_limit_experiment(
+                 host1, host2, vec, 3, k_final=bad))]
+    for field, call in calls:
+        with pytest.raises(ConfigError, match=f"^{field}: must be an "
+                                              f"integer, got {bad!r}$"):
+            call()
