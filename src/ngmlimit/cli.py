@@ -2,7 +2,7 @@
 
 Configs are JSON (see README for the schema); "-" reads stdin. Exit
 codes: 0 success, 1 property failure, 2 config error, 3 numerical
-(singularity / convergence) error.
+(singularity / convergence / overflow) error.
 """
 
 from __future__ import annotations
@@ -17,7 +17,8 @@ import click
 
 from .densela import Matrix, matmul
 from .eigen import eigenvalues
-from .errors import ConfigError, ConvergenceError, SingularMatrixError
+from .errors import (ConfigError, ConvergenceError, NonFiniteError,
+                     SingularMatrixError)
 from .minorlimit import ConvergenceReport, DiagonalRay, limit_minor_inverse
 from .ngm import NGMPair, r0, r0_removal_limit
 from .relapse import HostParams, VectorParams, _build_ngm, _r0_closed
@@ -94,7 +95,7 @@ def _error_exits():
     except ConfigError as exc:
         click.echo(f"config error: {exc}", err=True)
         sys.exit(EXIT_CONFIG_ERROR)
-    except (SingularMatrixError, ConvergenceError) as exc:
+    except (SingularMatrixError, ConvergenceError, NonFiniteError) as exc:
         click.echo(f"numerical error: {exc}", err=True)
         sys.exit(EXIT_NUMERICAL_ERROR)
 
@@ -140,7 +141,8 @@ def _built(path: str, make, *args, **keys):
     A library ConfigError names its input, index included (``alpha[0]``,
     ``i``, ``schedule[1]``). ``keys`` maps such a name to its config key;
     any other name is a member of the object at ``path``. A ValueError
-    that names no input is charged to ``path``.
+    that names no input is charged to ``path``; a NonFiniteError, an
+    overflow in what ``make`` computed, passes through.
     """
     try:
         return make(*args)
@@ -148,6 +150,8 @@ def _built(path: str, make, *args, **keys):
         name, bracket, index = exc.field.partition("[")
         key = keys.get(name, f"{path}.{name}")
         raise ConfigError(key + bracket + index, exc.reason) from None
+    except NonFiniteError:
+        raise
     except ValueError as exc:
         raise ConfigError(path, str(exc)) from None
 

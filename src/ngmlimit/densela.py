@@ -13,7 +13,7 @@ from collections.abc import Iterable, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, SingularMatrixError
+from .errors import ConfigError, NonFiniteError, SingularMatrixError
 
 __all__ = [
     "Matrix",
@@ -39,8 +39,8 @@ class Matrix:
 
     Construct from an iterable of rows (``Matrix([[1, 2], [3, 4]])``) or
     from a flat row-major sequence via :meth:`from_flat`. Entries must be
-    finite real numbers; NaN, infinity, bool and str are rejected, the
-    last two by a ConfigError naming the entry (``rows[0][1]``).
+    finite real numbers; NaN, infinity, bool and str are rejected by a
+    ConfigError naming the entry (``rows[0][1]``).
     """
 
     __slots__ = ("_a",)
@@ -55,6 +55,10 @@ class Matrix:
         except (TypeError, ValueError) as exc:
             raise ValueError(f"matrix rows must be equal-length sequences "
                              f"of numbers: {exc}") from None
+        if not np.isfinite(a).all():
+            r, c = np.argwhere(~np.isfinite(a))[0].tolist()
+            raise ConfigError(f"rows[{r}][{c}]",
+                              f"must be finite, got {float(a[r, c])!r}")
         self._a = _frozen(a)
 
     @classmethod
@@ -143,7 +147,7 @@ def _frozen(a: np.ndarray) -> np.ndarray:
 
 def _require_finite(a: np.ndarray) -> None:
     if not np.isfinite(a).all():
-        raise ValueError("matrix entries must be finite (no NaN/Inf)")
+        raise NonFiniteError("matrix entries must be finite (no NaN/Inf)")
 
 
 def _require_same_shape(a: Matrix, b: Matrix, what: str) -> None:
@@ -235,8 +239,19 @@ def minor(a: Matrix, i: int, j: int) -> Matrix:
                          f"got {a.rows}x{a.cols}")
     _check_index("row index i", i, a.rows)
     _check_index("column index j", j, a.cols)
-    out = np.delete(np.delete(a._a, i - 1, axis=0), j - 1, axis=1)
-    return Matrix._wrap(out)
+    return Matrix._wrap(_drop(a._a, i - 1, j - 1))
+
+
+def _drop(a: np.ndarray, r: "int | None",
+          k: "int | None" = None) -> np.ndarray:
+    """A copy of ``a`` less its row r and its column k (0-based; None
+    keeps them all; a 1-D ``a`` loses entry r): ``np.delete``'s values,
+    from slices, without its per-call overhead."""
+    if r is not None:
+        a = np.concatenate((a[:r], a[r + 1:]))
+    if k is not None:
+        a = np.concatenate((a[:, :k], a[:, k + 1:]), axis=1)
+    return a
 
 
 def set_entry(a: Matrix, i: int, j: int, value: float) -> Matrix:

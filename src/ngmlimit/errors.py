@@ -23,6 +23,14 @@ class ConvergenceError(RuntimeError):
     """An iterative or limit computation failed to converge."""
 
 
+class NonFiniteError(ValueError):
+    """A computed value overflowed to infinity or became NaN.
+
+    A ValueError, as the bare one it replaces was, so callers that catch
+    ValueError keep working; the CLI maps it to the numerical exit code.
+    """
+
+
 class ConfigError(ValueError):
     """An input field is missing, mistyped or out of range.
 

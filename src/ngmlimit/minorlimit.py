@@ -19,18 +19,22 @@ fitted decay rate.
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
+from numpy.exceptions import RankWarning
+from numpy.linalg._umath_linalg import lstsq as _gelsd
 
 from .densela import (SINGULARITY_RTOL, Matrix, _bidiagonal_inverse,
                       _check_index, _check_integer, _check_positive,
-                      _check_real, _first_low_pivot, _inverse_stack,
+                      _check_real, _drop, _first_low_pivot, _inverse_stack,
                       _require_finite, determinant, inf_norm, inverse,
                       matmul, minor, set_entry)
 from .eigen import _spectral_radii, spectral_radius
-from .errors import ConfigError, ConvergenceError, SingularMatrixError
+from .errors import (ConfigError, ConvergenceError, NonFiniteError,
+                     SingularMatrixError)
 
 __all__ = [
     "CONDITION_GUARD",
@@ -153,7 +157,8 @@ def default_schedule(base: Matrix, first_decade: int = 1,
     """Geometric schedule ``inf_norm(base) * 10**k`` for the decade range.
 
     Geometric spacing samples log-t uniformly, which is what the
-    rate fit wants for an O(1/t) error.
+    rate fit wants for an O(1/t) error. A point beyond the float range
+    raises NonFiniteError naming the norm and the decade.
     """
     _check_integer("first_decade", first_decade)
     _check_integer("last_decade", last_decade)
@@ -163,12 +168,17 @@ def default_schedule(base: Matrix, first_decade: int = 1,
     scale = inf_norm(base)
     if scale == 0.0:
         scale = 1.0
+    decades = range(first_decade, last_decade + 1)
     try:
-        return tuple(scale * 10.0 ** k
-                     for k in range(first_decade, last_decade + 1))
+        schedule = tuple(scale * 10.0 ** k for k in decades)
     except OverflowError:
         raise ConfigError("last_decade", f"10**{last_decade} is beyond "
                                          f"the float range") from None
+    for k, t in zip(decades, schedule):
+        if t == math.inf:
+            raise NonFiniteError(f"default schedule: inf_norm {scale:.3e} "
+                                 f"times 10**{k} is beyond the float range")
+    return schedule
 
 
 def det_affine_coeffs(ray: DiagonalRay) -> tuple[float, float]:
@@ -206,7 +216,12 @@ def _downdated_minor_inverse(ray: DiagonalRay,
     factorization. Where column or row i of B is zero off the diagonal
     (the last or first stage of a chain), the correction is zero and the
     subtraction exact; on relapse models M is then bit for bit the
-    factored inverse.
+    factored inverse. Where column i is +0 off the diagonal and row i,
+    over B_ii, is finite with no sign bit set, every term of the
+    correction is +0 and ``x - (+0)`` is x, -0 included: M is ``B_mm``
+    itself and its norm that of ``B_mm``, with no correction formed. Any
+    other zero column takes the subtraction, which turns a -0 of
+    ``B_mm`` into +0 where its term is -0.
 
     None is returned, so that factoring decides, and raises where the
     minor is singular, when (inf-norms):
@@ -228,21 +243,24 @@ def _downdated_minor_inverse(ray: DiagonalRay,
     pivot = float(b[c, c])
     if pivot == 0.0 or not math.isfinite(pivot):
         return None
-    keep = np.delete(np.arange(len(b)), c)
-    kept = b[keep][:, keep]
-    column = b[keep, c]
-    row = b[c, keep] / pivot
-    downdated = kept - np.outer(column, row)
+    kept = _drop(b, c, c)
+    column = _drop(b[:, c], c)
+    row = _drop(b[c], c) / pivot
     kept_norm = np.abs(kept).sum(axis=1).max()
-    correction_norm = np.abs(column).max() * np.abs(row).sum()
-    norm = np.abs(downdated).sum(axis=1).max()
+    if (column.any() or np.signbit(column).any()
+            or not np.isfinite(row).all() or np.signbit(row).any()):
+        downdated = kept - np.outer(column, row)
+        correction_norm = np.abs(column).max() * np.abs(row).sum()
+        norm = np.abs(downdated).sum(axis=1).max()
+    else:
+        downdated, correction_norm, norm = kept, 0.0, kept_norm
     a = np.abs(ray.base._a)
     # |A_[i,i]|: the kept rows of |A|, less their column i
-    minor_norm = (a[keep].sum(axis=1) - a[keep, c]).max()
+    minor_norm = _drop(a.sum(axis=1) - a[:, c], c).max()
     # written so that a NaN fails each test
     if not (correction_norm <= _DOWNDATE_GROWTH * kept_norm
             and kept_norm + correction_norm <= _DOWNDATE_GROWTH * norm
-            and len(keep) * norm * minor_norm <= _DOWNDATE_CONDITION):
+            and (len(b) - 1) * norm * minor_norm <= _DOWNDATE_CONDITION):
         return None
     return Matrix._wrap(downdated)
 
@@ -368,7 +386,7 @@ def _spectral_limit(f: Matrix, v_ray: DiagonalRay, minor_inverse: Matrix,
     # F A(t)^-1 is zero outside F's nonzero rows R, so its nonzero
     # eigenvalues are those of its (R, R) block
     rows = np.flatnonzero(f._a.any(axis=1))
-    factored = _last_stage_schedule(v_ray, ts)
+    factored = _last_stage_schedule(v_ray, ts, minor_inverse)
     if factored is None:
         inverses, usable, flags = _invert_schedule(v_ray, ts)
         # rebinding frees the full stack, so at most two stacks are alive
@@ -385,7 +403,7 @@ def _spectral_limit(f: Matrix, v_ray: DiagonalRay, minor_inverse: Matrix,
         # the other rows' product is shared; row i's term is added last,
         # as the full product sums it where row i holds the last nonzero
         # of each column (a chain's last stage)
-        products = (np.delete(f_rows, c, axis=1) @ kept
+        products = (_drop(f_rows, None, c) @ kept
                     + f_rows[:, c, None] * last[:, None])
     _require_finite(products)
     radii = iter(_spectral_radii(np.ascontiguousarray(products[:, :, rows]))
@@ -395,7 +413,8 @@ def _spectral_limit(f: Matrix, v_ray: DiagonalRay, minor_inverse: Matrix,
     return float(estimate), report
 
 
-def _last_stage_schedule(ray: DiagonalRay, ts: Sequence[float]):
+def _last_stage_schedule(ray: DiagonalRay, ts: Sequence[float],
+                         minor_inverse: Matrix):
     """:func:`_invert_schedule` of a ray whose base is lower bidiagonal,
     with column i zero below the diagonal and no entry larger in
     magnitude than the pivot above it (a chain's last stage), without
@@ -410,6 +429,18 @@ def _last_stage_schedule(ray: DiagonalRay, ts: Sequence[float]):
     at each usable point, and each point's usable and flag, from the
     values and reductions :func:`_invert_schedule` takes: row i of
     ``|A(t)|`` and of ``|A(t)^-1|`` per point, every other row's sum once.
+
+    The rows other than i are ``minor_inverse``, the inverse of the
+    (i, i) minor, with column i put back: L's column i is zero below the
+    diagonal, so that column is ``+0 / pivot`` and the rest of those
+    rows is the minor's inverse. Where ``minor_inverse`` is factored, or
+    downdated from a V^-1 formed as above, that is the formula's value
+    bit for bit. Where it is downdated from a V^-1 that a removal at a
+    middle stage downdated before, it keeps that round-off, as does the
+    removed-compartment r0 taken from it, and the radii may move in the
+    last bits against re-formed rows. Row i of ``L^-1`` needs only the
+    rows above it, so it is the formula's row i of the leading (i x i)
+    block, padded with +0.
     """
     a = ray.base._a
     c = ray.i - 1
@@ -421,22 +452,25 @@ def _last_stage_schedule(ray: DiagonalRay, ts: Sequence[float]):
     if (not bidiagonal or np.count_nonzero(below[c:c + 1])
             or (np.abs(below) > np.abs(pivots[:-1])).any()):
         return None
-    keep = np.delete(np.arange(len(a)), c)
+    n = len(a)
     diagonal = np.repeat(pivots[None], len(ts), axis=0)
     diagonal[:, c] = ts
     magnitudes = np.abs(a)
     row = np.repeat(magnitudes[c, None], len(ts), axis=0)
     row[:, c] = ts
-    norms = np.maximum(magnitudes[keep].sum(axis=1).max(), row.sum(axis=1))
+    norms = np.maximum(_drop(magnitudes.sum(axis=1), c).max(),
+                       row.sum(axis=1))
     floors = SINGULARITY_RTOL * norms
     usable = _first_low_pivot(np.abs(diagonal), floors) == 0
+    m = minor_inverse._a
+    kept = np.empty((n - 1, n))
+    kept[:, :c] = m[:, :c]
+    kept[:, c + 1:] = m[:, c:]
+    y = np.zeros(n)
     with np.errstate(all="ignore"):
-        multipliers = below / pivots[:-1]
-        # column c is zero below the diagonal, and its own pivot may be 0
-        multipliers[c:c + 1] = 0.0
-        y = _bidiagonal_inverse(multipliers)
-        kept = y[keep] / pivots[keep, None]
-        last = y[c] / diagonal[:, c, None]
+        kept[:, c] = 0.0 / _drop(pivots, c)
+        y[:c + 1] = _bidiagonal_inverse(below[:c] / pivots[:c])[c]
+        last = y / diagonal[:, c, None]
     inverse_norms = np.maximum(np.abs(kept).sum(axis=1).max(),
                                np.abs(last).sum(axis=1))
     flags = ~usable | (norms * inverse_norms > CONDITION_GUARD)
@@ -503,7 +537,21 @@ def _max_abs_errors(x: np.ndarray, exact) -> list[float]:
     return np.abs(x - exact).max(axis=tuple(range(1, x.ndim))).tolist()
 
 
+def _raise_lstsq_failure(err, flag):
+    raise np.linalg.LinAlgError(
+        "SVD did not converge in Linear Least Squares")
+
+
 def _fit_rate(ts, errors, flags) -> "float | None":
+    """Minus the slope of ``np.polyfit(log t, log e, 1)`` over the clean
+    points, bit for bit, with NumPy's LAPACK least-squares gufunc called
+    directly. As polyfit does: the Vandermonde columns ``[log t, 1]``
+    scaled to unit 2-norm, ``rcond`` of ``len * eps``, the slope divided
+    by its column's scale, RankWarning on a rank below 2, and the
+    wrapper's errstate, which turns a failed SVD into its LinAlgError.
+    The logarithms are ``math.log``'s: ``np.log`` may differ in the last
+    bit.
+    """
     log_t, log_e = [], []
     for t, e, flagged in zip(ts, errors, flags):
         if flagged or not math.isfinite(e) or e <= 0.0:
@@ -512,5 +560,16 @@ def _fit_rate(ts, errors, flags) -> "float | None":
         log_e.append(math.log(e))
     if len(log_t) < _MIN_FIT_POINTS:
         return None
-    slope = np.polyfit(log_t, log_e, 1)[0]
-    return float(-slope)
+    lhs = np.empty((len(log_t), 2))
+    lhs[:, 0] = log_t
+    lhs[:, 1] = 1.0
+    scale = np.sqrt((lhs * lhs).sum(axis=0))
+    lhs /= scale
+    with np.errstate(call=_raise_lstsq_failure, invalid="call",
+                     over="ignore", divide="ignore", under="ignore"):
+        solution, _, rank, _ = _gelsd(lhs, np.array(log_e)[:, None],
+                                      len(log_t) * _EPS,
+                                      signature="ddd->ddid")
+    if rank != 2:
+        warnings.warn("Polyfit may be poorly conditioned", RankWarning)
+    return float(-(solution[0, 0] / scale[0]))

@@ -126,7 +126,11 @@ class R0Result:
             raise ValueError(f"r0 must be nonnegative, got {self.value}")
 
 
-def _require_stage_count(host: HostParams, j: int, who: str) -> None:
+def _require_stage_count(host: HostParams, j: int, who: str,
+                         name: str = "j") -> None:
+    """``j``, the argument called ``name``, must be an integer equal to
+    the stage count of ``host``, the argument called ``who``."""
+    _check_integer(name, j)
     if host.stages != j:
         raise ValueError(
             f"{who} has {host.stages} stages in its parameters but "
@@ -221,7 +225,7 @@ def build_coupled_ngm(host1: HostParams, host2: HostParams,
                       vec: VectorParams, j: int, k: int) -> NGMPair:
     """(F, V) pair of a j- and a k-stage host chain sharing the vector."""
     _require_stage_count(host1, j, "host1")
-    _require_stage_count(host2, k, "host2")
+    _require_stage_count(host2, k, "host2", "k")
     return _build_ngm((host1, host2), vec)
 
 
@@ -229,7 +233,10 @@ def r0_coupled_closed(host1: HostParams, host2: HostParams,
                       vec: VectorParams, j: int, k: int) -> R0Result:
     """Closed-form r0 of host1's first j stages and host2's first k
     stages sharing the vector; longer parameter chains are truncated."""
-    return _r0_closed((host1.truncated(j), host2.truncated(k)), vec)
+    first = host1.truncated(j)
+    # truncated calls its argument j
+    _check_integer("k", k)
+    return _r0_closed((first, host2.truncated(k)), vec)
 
 
 @dataclass(frozen=True)

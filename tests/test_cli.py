@@ -232,6 +232,55 @@ def test_sweep_singular_minor_exits_3():
     assert "singular" in result.stderr
 
 
+def _uncoupled(host=None, vector=None):
+    cfg = json.loads(json.dumps(UNIT_UNCOUPLED))
+    cfg["model"]["host"].update(host or {})
+    cfg["model"]["vector"].update(vector or {})
+    return json.dumps(cfg)
+
+
+@pytest.mark.parametrize("command, stdin", [
+    # F V^-1 overflows in r0
+    ("r0", json.dumps({"ngm": {"f": [[1e308, 1e308], [0, 0]],
+                               "v": [[0.5, 0], [0, 0.5]]}})),
+    # F overflows in the builder
+    ("r0", _uncoupled(vector={"f": 1e300, "c_v": 1e300, "s_v_bar": 1e300,
+                              "mu_tilde": 1e-300})),
+    # alpha + mu overflows in V
+    ("r0", _uncoupled(host={"alpha": [1e308, 1e308], "mu": [1e308]})),
+    ("ngm", _uncoupled(vector={"f": 1e200, "c_v": 1e200})),
+    # the default schedule's last decade overflows
+    ("sweep", json.dumps({"matrix": [[1e300, 1e300], [1e300, 1e300]],
+                          "index": 1})),
+    # NGMPair's V^-1 overflows, inside the constructor the CLI wraps
+    ("r0", json.dumps({"ngm": {"f": [[1]], "v": [[5e-310]]}})),
+], ids=["r0-product", "r0-builder-f", "r0-builder-v", "ngm-builder-f",
+        "sweep-default-schedule", "r0-pair-inverse"])
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_overflow_exits_3_without_a_traceback(command, stdin):
+    result = invoke([command, "--config", "-"], stdin=stdin)
+    assert result.exit_code == 3
+    assert "numerical error: " in result.stderr
+    assert "Traceback" not in result.output
+
+
+def test_sweep_names_the_default_schedule_decade_that_overflows():
+    cfg = {"matrix": [[1e300, 1e300], [1e300, 1e300]], "index": 1}
+    result = invoke(["sweep", "--config", "-"], stdin=json.dumps(cfg))
+    assert result.stderr.strip() == (
+        "numerical error: default schedule: inf_norm 2.000e+300 times "
+        "10**8 is beyond the float range")
+
+
+def test_non_finite_matrix_entry_is_a_config_error():
+    # JSON's 1e400 parses as an infinite float: an input, not an overflow
+    result = invoke(["sweep", "--config", "-"],
+                    stdin=json.dumps(WORKED_SWEEP).replace("4.0]]", "1e400]]"))
+    assert result.exit_code == 2
+    assert "config error: matrix[2][2]: must be finite, got inf" in \
+        result.stderr
+
+
 def test_sweep_json_format():
     result = invoke(["sweep", "--config", "-", "--format", "json"],
                     stdin=json.dumps(WORKED_SWEEP))

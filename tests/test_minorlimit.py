@@ -12,8 +12,9 @@ from ngmlimit.minorlimit import (_EPS, ConvergenceReport, DiagonalRay,
                                  det_affine_coeffs, exact_minor_inverse,
                                  limit_minor_inverse, richardson,
                                  row_col_decay, spectral_limit,
-                                 _invert_schedule, _last_stage_schedule,
-                                 _row_col_maxima, _summarize)
+                                 _fit_rate, _invert_schedule,
+                                 _last_stage_schedule, _row_col_maxima,
+                                 _summarize)
 from ngmlimit.eigen import spectral_radius
 from ngmlimit.ngm import r0_removal_limit
 from ngmlimit.relapse import HostParams, VectorParams, build_coupled_ngm
@@ -428,7 +429,7 @@ def assert_schedule_as_stacked(ray: DiagonalRay, ts):
     inverses: usable points and flags equal, and every usable point's
     rows, the shared ones and row i, equal to the bit. Returns the
     usable points and the flags."""
-    factored = _last_stage_schedule(ray, ts)
+    factored = _last_stage_schedule(ray, ts, exact_minor_inverse(ray))
     assert factored is not None
     kept, last, usable, flags = factored
     inverses, stacked_usable, stacked_flags = _invert_schedule(ray, ts)
@@ -498,7 +499,7 @@ def test_last_stage_schedule_substitutes_where_l_is_not_bidiagonal(
     # 1e-11 (at i = 8) and 9e11: flagged, kept; 1e-14 and 1e13: below the
     # floor
     ts = (1e-14, 1e-11, 1e-3, 1.0, 1e3, 1e6, 1e9, 9e11, 1e13)
-    assert _last_stage_schedule(ray, ts) is None
+    assert _last_stage_schedule(ray, ts, exact_minor_inverse(ray)) is None
     _, usable, flags = _invert_schedule(ray, ts)
     kept = [ok and flag for ok, flag in zip(usable, flags)]
     assert kept == [False, i == 8] + [False] * 5 + [True, False]
@@ -524,9 +525,10 @@ def test_last_stage_ray_needing_a_row_swap_is_stacked():
     ray = DiagonalRay(Matrix([[1.0, 0.0, 0.0], [3.0, 2.0, 0.0],
                               [0.0, 1.0, 4.0]]), 3)
     ts = quarter_decades(ray)
-    assert _last_stage_schedule(ray, ts) is None
-    assert _last_stage_schedule(DiagonalRay(set_entry(ray.base, 2, 1, 1.0),
-                                            3), ts) is not None
+    assert _last_stage_schedule(ray, ts, exact_minor_inverse(ray)) is None
+    swap_free = DiagonalRay(set_entry(ray.base, 2, 1, 1.0), 3)
+    assert _last_stage_schedule(swap_free, ts,
+                                exact_minor_inverse(swap_free)) is not None
     f = Matrix([[0.0, 1.0, 1.0], [0.0, 0.0, 0.0], [2.0, 0.0, 0.0]])
     _, report = spectral_limit(f, ray, ts, target=0.0)
     assert_radii_near_one_matrix(f, ray, report)
@@ -547,6 +549,18 @@ def test_last_stage_ray_ignores_its_base_entry():
     assert_schedule_as_stacked(zero, schedule)
 
 
+def test_last_stage_schedule_keeps_the_signs_of_negative_pivots():
+    # column i of the kept rows is +0 over each kept row's pivot: -0 on
+    # the rows whose pivot is negative, as the stacked kernel divides
+    ray = DiagonalRay(Matrix([[-2.0, 0.0, 0.0, 0.0], [1.0, 3.0, 0.0, 0.0],
+                              [0.0, 0.0, -4.0, 0.0], [0.0, 0.0, 1.0, 5.0]]),
+                      2)
+    assert_schedule_as_stacked(ray, quarter_decades(ray))
+    kept = _last_stage_schedule(ray, quarter_decades(ray),
+                                exact_minor_inverse(ray))[0]
+    assert np.signbit(kept[:, 1]).tolist() == [True, True, False]
+
+
 @pytest.mark.parametrize("j", [2, 10, 40])
 def test_dense_f_on_a_last_stage_ray(j):
     # R is every row, row i of F included
@@ -565,7 +579,8 @@ def test_last_stage_row_that_overflows_raises(f):
     # inverse, 1 / t, overflows; that raises even where F is zero. The
     # other rows are the (i, i) minor's inverse, checked by its caller.
     ray = DiagonalRay(Matrix([[1e-300, 0.0], [0.0, 0.0]]), 2)
-    assert _last_stage_schedule(ray, (1e-310,))[2] == [True]
+    assert _last_stage_schedule(ray, (1e-310,),
+                                exact_minor_inverse(ray))[2] == [True]
     with pytest.raises(ValueError, match="must be finite"):
         spectral_limit(Matrix._wrap(f), ray, (1e-310,), target=0.0)
 
@@ -844,3 +859,90 @@ def test_spectral_limit_explicit_target_changes_errors():
     v_ray = DiagonalRay(WORKED_3X3, 2)
     _, report = spectral_limit(identity(3), v_ray, DECADES_2_8, target=99.0)
     assert report.errors[-1] == pytest.approx(99.0 - 0.5, abs=1e-6)
+
+
+# ---------------------------------------------------------------------------
+# the rate fit: NumPy's least-squares gufunc, called as polyfit calls it
+
+def polyfit_rate(ts, errors, flags):
+    """``-np.polyfit(log t, log e, 1)[0]`` over the points the rate fit
+    keeps, or None where fewer than three remain."""
+    points = [(math.log(t), math.log(e))
+              for t, e, flagged in zip(ts, errors, flags)
+              if not flagged and math.isfinite(e) and e > 0.0]
+    if len(points) < 3:
+        return None
+    log_t, log_e = zip(*points)
+    return float(-np.polyfit(log_t, log_e, 1)[0])
+
+
+@pytest.mark.parametrize("count", [3, 4, 7, 8, 16, 29])
+def test_rate_fit_is_polyfit_bit_for_bit(count):
+    # O(1/t) errors with noise, errors on the round-off floor, and
+    # flagged, NaN and zero points that the fit skips
+    rng = np.random.default_rng(count)
+    for case in range(300):
+        ts = tuple((10.0 ** rng.uniform(-3.0, 6.0)
+                    * 10.0 ** (np.arange(count) / 4.0)).tolist())
+        rate = rng.uniform(0.5, 2.0)
+        errors = (rng.uniform(0.1, 10.0) / np.array(ts) ** rate
+                  * rng.uniform(0.9, 1.1, count))
+        if case % 3:
+            floor = _EPS * rng.uniform(0.5, 8.0, count)
+            errors = np.maximum(errors, floor)
+        if case % 4 == 0:
+            errors[rng.integers(0, count)] = math.nan
+        if case % 5 == 0:
+            errors[rng.integers(0, count)] = 0.0
+        flags = (rng.random(count) < 0.1).tolist()
+        expected = polyfit_rate(ts, errors.tolist(), flags)
+        got = _fit_rate(ts, errors.tolist(), flags)
+        if expected is None:
+            assert got is None
+        else:
+            assert got.hex() == expected.hex()
+
+
+def neighbouring_doubles(t: float, count: int) -> list[float]:
+    ts = [t]
+    for _ in range(count - 1):
+        ts.append(float(np.nextafter(ts[-1], math.inf)))
+    return ts
+
+
+@pytest.mark.parametrize("ts", [
+    # one logarithm shared by neighbouring doubles near 1e300
+    neighbouring_doubles(1e300, 4),
+    # distinct logarithms whose scaled Vandermonde matrix has singular
+    # values 4.2e-16 apart, under rcond = 4 eps but over eps
+    [1e300 * (1.0 + k * 5e-13) for k in range(4)],
+], ids=["one-log", "below-rcond"])
+def test_rate_fit_warns_on_rank_deficiency_as_polyfit_does(ts):
+    errors, flags = [1e-3, 2e-3, 3e-3, 4e-3], [False] * 4
+    with pytest.warns(np.exceptions.RankWarning,
+                      match="^Polyfit may be poorly conditioned$"):
+        got = _fit_rate(ts, errors, flags)
+    with pytest.warns(np.exceptions.RankWarning):
+        expected = polyfit_rate(ts, errors, flags)
+    assert got.hex() == expected.hex()
+
+
+def test_failed_rate_fit_raises_polyfit_error(monkeypatch):
+    import numpy.linalg._umath_linalg as umath_linalg
+
+    def failing(gufunc):
+        def call(*args, **kwargs):
+            np.sqrt(np.array(-1.0))  # sets the invalid flag, as LAPACK does
+            return gufunc(*args, **kwargs)
+        return call
+
+    ts, flags = DECADES_2_8, [False] * len(DECADES_2_8)
+    errors = [1.0 / t for t in ts]
+    monkeypatch.setattr(minorlimit, "_gelsd", failing(minorlimit._gelsd))
+    with pytest.raises(np.linalg.LinAlgError) as got:
+        _fit_rate(ts, errors, flags)
+    monkeypatch.setattr(umath_linalg, "lstsq", failing(umath_linalg.lstsq))
+    with pytest.raises(np.linalg.LinAlgError) as expected:
+        polyfit_rate(ts, errors, flags)
+    assert str(got.value) == str(expected.value) == \
+        "SVD did not converge in Linear Least Squares"

@@ -7,10 +7,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ngmlimit import minorlimit, ngm
-from ngmlimit.densela import Matrix, identity, inverse, matmul, minor
+from ngmlimit.densela import (Matrix, identity, inf_norm, inverse, matmul,
+                              minor)
 from ngmlimit.eigen import eigenvalues, spectral_abscissa
 from ngmlimit.errors import ConfigError, SingularMatrixError
-from ngmlimit.minorlimit import (DiagonalRay, _downdated_minor_inverse,
+from ngmlimit.minorlimit import (_EPS, DiagonalRay,
+                                 _downdated_minor_inverse,
+                                 _last_stage_schedule, _spectral_limit,
                                  assemble_limit_inverse, exact_minor_inverse,
                                  spectral_limit)
 from ngmlimit.ngm import (MMATRIX_TOL, MMatrixWarning, NGMPair,
@@ -464,6 +467,79 @@ def test_downdate_round_off_does_not_warn():
         reduced = remove_compartment(pair, stage)
     assert reduced.V_inv == inverse(reduced.V)
     assert reduced.V_inv._a.min() == 0.0
+
+
+def full_downdate(ray: DiagonalRay, base_inverse: Matrix) -> np.ndarray:
+    """``B_mm - B_mi B_im / B_ii`` with every term formed."""
+    b, c = base_inverse._a, ray.i - 1
+    keep = np.delete(np.arange(len(b)), c)
+    return b[keep][:, keep] - np.outer(b[keep, c], b[c, keep] / b[c, c])
+
+
+def test_zero_correction_downdate_equals_the_full_subtraction():
+    # at a chain's last stage column i of an M-matrix inverse is +0 off
+    # the diagonal and row i is positive: no correction is formed
+    rng = np.random.default_rng(16)
+    for _ in range(50):
+        j = int(rng.integers(1, 12))
+        pair = build_coupled_ngm(random_host(rng, j), random_host(rng, j),
+                                 random_vector(rng), j, j)
+        for i in (j, 2 * j):
+            ray = DiagonalRay(pair.V, i)
+            got = _downdated_minor_inverse(ray, pair.V_inv)
+            assert got._a.tobytes() == full_downdate(ray, pair.V_inv).tobytes()
+
+
+@pytest.mark.parametrize("column_entry, row_entry, negative_zero", [
+    (0.0, -1.0, False), (-0.0, 1.0, False), (0.0, 0.0, True)])
+def test_zero_column_keeps_the_signed_zeros_of_the_subtraction(
+        column_entry, row_entry, negative_zero):
+    # B_mm holds a -0 in a column where row i is -1: the term there is
+    # +0 * (-1) = -0, and -0 - (-0) is +0; so it is where column i holds
+    # a -0 against a row entry of 1. Where both are +0 the term is +0 and
+    # the -0 stays.
+    b = np.array([[2.0, column_entry, -0.0], [0.0, 1.0, row_entry],
+                  [-1.0, 0.0, 3.0]])
+    base_inverse = Matrix._wrap(b)
+    ray = DiagonalRay(inverse(base_inverse), 2)
+    got = _downdated_minor_inverse(ray, base_inverse)._a
+    assert got.tobytes() == full_downdate(ray, base_inverse).tobytes()
+    assert got[0, 1] == 0.0 and np.signbit(got[0, 1]) == negative_zero
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
+                            "ignore:invalid:RuntimeWarning")
+def test_zero_column_with_a_non_finite_row_is_refused():
+    # row i over a subnormal B_ii overflows: the downdate gives way
+    base_inverse = Matrix([[1e-310, 1.0], [0.0, 1.0]])
+    ray = DiagonalRay(identity(2), 1)
+    assert _downdated_minor_inverse(ray, base_inverse) is None
+
+
+def test_last_stage_limit_after_a_middle_removal_reads_the_downdate():
+    # Removing stage 2 of a (5, 5) pair cuts species 1's chain, and the
+    # downdated V^-1 keeps round-off where the factored one has zeros. A
+    # later limit at species 1's new last stage takes its kept rows from
+    # the minor's inverse downdated from that V^-1, not from L^-1 formed
+    # anew, so its radii move in the last bits against spectral_limit's,
+    # whose kept rows are the factored minor inverse.
+    rng = np.random.default_rng(1)
+    pair = build_coupled_ngm(random_host(rng, 5), random_host(rng, 5),
+                             random_vector(rng), 5, 5)
+    reduced = remove_compartment(pair, 2)
+    assert reduced.V_inv != inverse(reduced.V)
+    ray = DiagonalRay(reduced.V, 4)
+    downdated = _downdated_minor_inverse(ray, reduced.V_inv)
+    ts = tuple(inf_norm(ray.base) * 10.0 ** (q / 4.0) for q in range(29))
+    kept = _last_stage_schedule(ray, ts, downdated)[0]
+    assert np.delete(kept, 3, axis=1).tobytes() == downdated._a.tobytes()
+    report = r0_removal_limit(reduced, 4, ts, target=0.0)
+    assert report == _spectral_limit(reduced.F, ray, downdated, ts, 0.0)[1]
+    _, factored = spectral_limit(reduced.F, ray, ts, target=0.0)
+    assert report.errors != factored.errors
+    assert report.flagged == factored.flagged
+    for got, expected in zip(report.errors, factored.errors):
+        assert abs(got - expected) <= 8.0 * _EPS * expected
 
 
 def test_pair_still_takes_no_inverse_argument():

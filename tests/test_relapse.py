@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from ngmlimit import eigen, ngm, relapse
 from ngmlimit.densela import Matrix, inverse
-from ngmlimit.errors import ConfigError, SingularMatrixError
+from ngmlimit.errors import ConfigError, NonFiniteError, SingularMatrixError
 from ngmlimit.eigen import spectral_abscissa
 from ngmlimit.ngm import dfe_threshold_check, r0, remove_compartment
 from ngmlimit.relapse import (HostParams, R0Result, VectorParams,
@@ -408,9 +408,12 @@ def outcome(fn):
 ])
 def test_builder_edge_inputs_fail_as_factoring_fails(host, vec, expected):
     got = outcome(lambda: build_uncoupled_ngm(host, vec, host.stages))
-    assert got[0] is expected
     if expected is ValueError:
-        assert got[1] == "matrix entries must be finite (no NaN/Inf)"
+        # an overflow raises the typed ValueError
+        assert got[:2] == (NonFiniteError,
+                           "matrix entries must be finite (no NaN/Inf)")
+    else:
+        assert got[0] is expected
     assert got == outcome(lambda: inverse(transfer_block(host, vec)))
 
 
@@ -518,3 +521,26 @@ def test_stage_counts_must_be_integers(bad):
         with pytest.raises(ConfigError, match=f"^{field}: must be an "
                                               f"integer, got {bad!r}$"):
             call()
+
+
+
+@pytest.mark.parametrize("field, bad, call", [
+    ("j", 2.0, lambda h1, h3, v: build_uncoupled_ngm(h1, v, 2.0)),
+    ("j", True, lambda h1, h3, v: r0_uncoupled_closed(h1.truncated(1), v,
+                                                      True)),
+    ("j", 2.0, lambda h1, h3, v: build_coupled_ngm(h1, h3, v, 2.0, 3)),
+    ("k", 3.0, lambda h1, h3, v: build_coupled_ngm(h1, h3, v, 2, 3.0)),
+    ("j", 2.0, lambda h1, h3, v: r0_coupled_closed(h1, h3, v, 2.0, 3)),
+    ("k", 3.0, lambda h1, h3, v: r0_coupled_closed(h1, h3, v, 2, 3.0)),
+], ids=["uncoupled-build", "uncoupled-closed", "coupled-build-j",
+        "coupled-build-k", "coupled-closed-j", "coupled-closed-k"])
+def test_builders_and_closed_forms_take_integer_stage_counts(field, bad,
+                                                              call):
+    # each equals a stage count, or truncates to one, so 2.0 and True
+    # passed as one before; the error names the argument as the caller
+    # names it
+    rng = np.random.default_rng(65)
+    host1, host3 = random_host(rng, 2), random_host(rng, 3)
+    with pytest.raises(ConfigError, match=f"^{field}: must be an "
+                                          f"integer, got {bad!r}$"):
+        call(host1, host3, random_vector(rng))
