@@ -14,6 +14,7 @@ from contextlib import contextmanager
 from dataclasses import fields
 
 import click
+import numpy as np
 
 from .densela import Matrix, matmul
 from .eigen import eigenvalues
@@ -90,8 +91,11 @@ def _emit(text: str, out: "str | None") -> None:
 
 @contextmanager
 def _error_exits():
+    # an overflow is reported by the typed error alone, not also by NumPy's
+    # RuntimeWarning; the LAPACK kernels' own errstates still raise theirs
     try:
-        yield
+        with np.errstate(all="ignore"):
+            yield
     except ConfigError as exc:
         click.echo(f"config error: {exc}", err=True)
         sys.exit(EXIT_CONFIG_ERROR)

@@ -78,7 +78,12 @@ class Matrix:
         if len(flat) != rows * cols:
             raise ValueError(f"need {rows * cols} values for a "
                              f"{rows}x{cols} matrix, got {len(flat)}")
-        return cls._wrap(np.array(flat, dtype=np.float64).reshape(rows, cols))
+        a = np.array(flat, dtype=np.float64)
+        if not np.isfinite(a).all():
+            k = int(np.flatnonzero(~np.isfinite(a))[0])
+            raise ConfigError(f"values[{k}]",
+                              f"must be finite, got {flat[k]!r}")
+        return cls._wrap(a.reshape(rows, cols))
 
     @property
     def rows(self) -> int:

@@ -32,7 +32,7 @@ from .densela import (SINGULARITY_RTOL, Matrix, _bidiagonal_inverse,
                       _check_real, _drop, _first_low_pivot, _inverse_stack,
                       _require_finite, determinant, inf_norm, inverse,
                       matmul, minor, set_entry)
-from .eigen import _spectral_radii, spectral_radius
+from .eigen import _eigvals, _max_modulus, spectral_radius
 from .errors import (ConfigError, ConvergenceError, NonFiniteError,
                      SingularMatrixError)
 
@@ -406,7 +406,8 @@ def _spectral_limit(f: Matrix, v_ray: DiagonalRay, minor_inverse: Matrix,
         products = (_drop(f_rows, None, c) @ kept
                     + f_rows[:, c, None] * last[:, None])
     _require_finite(products)
-    radii = iter(_spectral_radii(np.ascontiguousarray(products[:, :, rows]))
+    blocks = np.ascontiguousarray(products[:, :, rows])
+    radii = iter(_max_modulus(_eigvals(blocks)).tolist()
                  if len(rows) else [0.0] * len(products))
     values = [next(radii) if ok else None for ok in usable]
     estimate, report = _summarize(ts, values, flags, target)

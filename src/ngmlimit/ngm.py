@@ -17,7 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from .densela import Matrix, _check_index, _require_finite, inverse, minor
-from .eigen import _abscissa, _each_member, _eigvals, _radius
+from .eigen import _abscissa, _eigvals, _max_modulus
 from .minorlimit import (ConvergenceReport, DiagonalRay,
                          _downdated_minor_inverse, _spectral_limit,
                          exact_minor_inverse)
@@ -123,7 +123,7 @@ def r0(pair: NGMPair) -> float:
     """
     k = pair.F._a @ pair.V_inv._a
     _require_finite(k)
-    return _radius(_eigvals(k))
+    return float(_max_modulus(_eigvals(k)))
 
 
 def remove_compartment(pair: NGMPair, i: int) -> NGMPair:
@@ -167,9 +167,9 @@ def dfe_threshold_check(pair: NGMPair) -> ThresholdReport:
     _require_finite(stack[0])
     np.subtract(f, pair.V._a, out=stack[1])
     _require_finite(stack[1])
-    k_values, jacobian_values = _each_member(stack)
-    value = _radius(k_values)
-    abscissa = _abscissa(jacobian_values)
+    raw = _eigvals(stack)
+    value = float(_max_modulus(raw[0]))
+    abscissa = _abscissa(raw[1])
     s_r0 = _threshold_sign(value - 1.0)
     s_ab = _threshold_sign(abscissa)
     return ThresholdReport(

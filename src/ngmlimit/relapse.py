@@ -134,7 +134,7 @@ def _require_stage_count(host: HostParams, j: int, who: str,
     if host.stages != j:
         raise ValueError(
             f"{who} has {host.stages} stages in its parameters but "
-            f"j={j} was requested")
+            f"{name}={j} was requested")
 
 
 def _r0_closed(hosts: Sequence[HostParams], vec: VectorParams) -> R0Result:

@@ -256,11 +256,12 @@ def _uncoupled(host=None, vector=None):
     ("r0", json.dumps({"ngm": {"f": [[1]], "v": [[5e-310]]}})),
 ], ids=["r0-product", "r0-builder-f", "r0-builder-v", "ngm-builder-f",
         "sweep-default-schedule", "r0-pair-inverse"])
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_overflow_exits_3_without_a_traceback(command, stdin):
+    # NumPy's overflow warning is not printed ahead of the typed error
     result = invoke([command, "--config", "-"], stdin=stdin)
     assert result.exit_code == 3
-    assert "numerical error: " in result.stderr
+    assert result.stderr.startswith("numerical error: ")
     assert "Traceback" not in result.output
 
 

@@ -132,6 +132,10 @@ def test_non_finite_entries_rejected(bad):
         Matrix([[1.0, bad], [0.0, 1.0]])
     with pytest.raises(ValueError, match=r"^matrix entries must be finite"):
         Matrix([[1.0, -2.0]]) * bad
+    # an input, named by its index, as Matrix(...) names it
+    with pytest.raises(ConfigError, match=rf"^values\[1\]: must be finite, "
+                                          rf"got {bad!r}$"):
+        Matrix.from_flat(2, 2, [1.0, bad, 0.0, 1.0])
 
 
 @pytest.mark.parametrize("bad", [True, "2", b"3"])

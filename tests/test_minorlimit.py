@@ -397,23 +397,17 @@ def test_spectral_limit_overflow_outside_the_block_raises():
         spectral_limit(f, ray, DECADES_2_8, target=0.0)
 
 
-def test_spectral_limit_block_still_pairs_conjugates(monkeypatch):
-    # a block whose eigenvalues are not closed under conjugation raises
-    # the pairing ConvergenceError, as the full product did
-    import ngmlimit.eigen as eigen
-    real_eigvals = eigen._eigvals
+def test_spectral_limit_takes_radii_from_one_call_on_the_blocks(monkeypatch):
+    # every point's (R, R) block goes to one stacked eigenvalue call
     shapes = []
 
-    def unpaired(stack):
+    def spy(stack, eigvals=minorlimit._eigvals):
         shapes.append(stack.shape)
-        values = real_eigvals(stack).astype(complex)
-        values[-1, 0] = 1.0 + 1.0j
-        return values
+        return eigvals(stack)
 
     f, ray = relapse_ray_case(10)
-    monkeypatch.setattr(eigen, "_eigvals", unpaired)
-    with pytest.raises(ConvergenceError, match="not closed under"):
-        spectral_limit(f, ray, DECADES_2_8, target=0.0)
+    monkeypatch.setattr(minorlimit, "_eigvals", spy)
+    spectral_limit(f, ray, DECADES_2_8, target=0.0)
     assert shapes == [(len(DECADES_2_8), 3, 3)]
 
 

@@ -269,9 +269,12 @@ def test_builder_rejects_mismatched_stage_counts():
     rng = np.random.default_rng(56)
     host1, host2, vec = random_host(rng, 2), random_host(rng, 3), \
         random_vector(rng)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^host has 2 stages in its "
+                                         "parameters but j=3 was requested$"):
         build_uncoupled_ngm(host1, vec, 3)
-    with pytest.raises(ValueError):
+    # the message names each count as the caller does
+    with pytest.raises(ValueError, match="^host2 has 3 stages in its "
+                                         "parameters but k=2 was requested$"):
         build_coupled_ngm(host1, host2, vec, 2, 2)
 
 
