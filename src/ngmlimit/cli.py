@@ -172,8 +172,8 @@ def _parse_params(cls, model: dict, key: str):
 _HOST_KEYS = {"uncoupled": ("host",), "coupled": ("host1", "host2")}
 
 
-def _parse_model(cfg: dict) -> tuple[NGMPair, float]:
-    """Build the configured pair; returns it with its closed-form r0."""
+def _parse_model(cfg: dict) -> tuple[tuple[HostParams, ...], VectorParams]:
+    """The configured host chains and vector; only r0 needs the closed form."""
     model = cfg.get("model")
     if not isinstance(model, dict):
         raise ConfigError("model", "must be an object")
@@ -184,7 +184,7 @@ def _parse_model(cfg: dict) -> tuple[NGMPair, float]:
                           f'must be "uncoupled" or "coupled", got {kind!r}')
     hosts = tuple(_parse_params(HostParams, model, key)
                   for key in _HOST_KEYS[kind])
-    return _build_ngm(hosts, vec), _r0_closed(hosts, vec).value
+    return hosts, vec
 
 
 def _parse_matrix(value, field: str) -> Matrix:
@@ -234,8 +234,8 @@ def main():
 
 
 @main.command()
-@click.option("--seed", type=int, default=42, show_default=True,
-              help="Base seed for every property corpus.")
+@click.option("--seed", type=click.IntRange(min=0), default=42,
+              show_default=True, help="Base seed for every property corpus.")
 @click.option("--out", type=click.Path(dir_okay=False), default=None,
               help="Write the JSON report here instead of stdout.")
 @click.option("--inject-fault",
@@ -278,15 +278,14 @@ def cmd_r0(config_path, out):
     with _error_exits():
         cfg = _load_config(config_path)
         if "ngm" in cfg:
-            pair = _parse_raw_pair(cfg["ngm"], "ngm")
-            closed = None
-            spectral = r0(pair)
+            pair, closed = _parse_raw_pair(cfg["ngm"], "ngm"), None
         elif "model" in cfg:
-            pair, closed = _parse_model(cfg)
-            spectral = r0(pair)
+            model = _parse_model(cfg)
+            pair, closed = _build_ngm(*model), _r0_closed(*model).value
         else:
             raise ConfigError("config",
                               'needs a "model" or "ngm" section')
+        spectral = r0(pair)
         gap = None if closed is None else abs(spectral - closed) / closed
         _emit(render_json({
             "closed_form": closed,
@@ -331,7 +330,7 @@ def sweep(config_path, schedule_flag, out, fmt):
                          _require(cfg, "index", "config"), i="index")
             _, report = limit_minor_inverse(ray, schedule)
         elif "model" in cfg:
-            pair, _closed = _parse_model(cfg)
+            pair = _build_ngm(*_parse_model(cfg))
             report = _built("remove_stage", r0_removal_limit, pair,
                             _require(cfg, "remove_stage", "config"),
                             schedule, i="remove_stage", schedule="schedule")
@@ -365,7 +364,7 @@ def cmd_ngm(config_path, out):
         cfg = _load_config(config_path)
         if "model" not in cfg:
             raise ConfigError("config", 'needs a "model" section')
-        pair, _closed = _parse_model(cfg)
+        pair = _build_ngm(*_parse_model(cfg))
         product = matmul(pair.F, pair.V_inv)
         spectrum = eigenvalues(product)
         _emit(render_json({

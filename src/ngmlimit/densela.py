@@ -290,7 +290,8 @@ def _lu_stack(lu: np.ndarray, floors: np.ndarray, scratch: np.ndarray):
     Factors the C-contiguous (B, n, n) array ``lu`` in place, packing each
     member's unit-lower and upper factors, and uses ``scratch`` (same
     shape) for the rank-1 updates. The column loop runs once for the whole
-    stack; each elementwise update is the one, in the same order, that the
+    stack and makes every swap and every update, whatever the entries;
+    each elementwise update is the one, in the same order, that the
     elimination of that member alone performs, so a member's factors do
     not depend on the rest of the stack.
 
@@ -313,30 +314,25 @@ def _lu_stack(lu: np.ndarray, floors: np.ndarray, scratch: np.ndarray):
     perm = np.arange(count * n)
     starts = np.arange(0, count * n, n)
     diagonal = lu.diagonal(0, 1, 2)[:, :, None]
-    flips = []
+    flips = np.zeros((n, count), dtype=np.intp)
     # the last column has one candidate pivot and nothing left to update
     for k in range(n - 1):
         below = np.abs(lu[:, k:, k]).argmax(axis=1)
-        if np.count_nonzero(below):
-            # swap the flat rows k and k + below of every member (a row
-            # with itself where below is 0); reversing the list of rows
-            # pairs each one with its partner
-            here = starts + k
-            to = np.concatenate((here, (here + below)[::-1]))
-            fro = to[::-1]
-            rows[to] = rows[fro]
-            perm[to] = perm[fro]
-            flips.append(below)
+        # swap the flat rows k and k + below of every member (a row with
+        # itself where below is 0); reversing the list of rows pairs each
+        # one with its partner
+        here = starts + k
+        to = np.concatenate((here, (here + below)[::-1]))
+        fro = to[::-1]
+        rows[to] = rows[fro]
+        perm[to] = perm[fro]
+        flips[k] = below
         lu[:, k + 1:, k] /= diagonal[:, k]
-        # a row of U that is zero in every member leaves the trailing
-        # block as it is: x - l * 0 is x up to the sign of a zero
-        if np.count_nonzero(lu[:, k, k + 1:]):
-            update = scratch[:, k + 1:, k + 1:]
-            np.multiply(lu[:, k + 1:, k, None], lu[:, k, None, k + 1:],
-                        out=update)
-            lu[:, k + 1:, k + 1:] -= update
-    swaps = (np.count_nonzero(flips, axis=0) if flips
-             else np.zeros(count, dtype=np.intp))
+        update = scratch[:, k + 1:, k + 1:]
+        np.multiply(lu[:, k + 1:, k, None], lu[:, k, None, k + 1:],
+                    out=update)
+        lu[:, k + 1:, k + 1:] -= update
+    swaps = np.count_nonzero(flips, axis=0)
     # the pivots end up on the diagonal
     pivots = np.abs(diagonal[:, :, 0])
     return perm, swaps, _first_low_pivot(pivots, floors), pivots
@@ -369,46 +365,24 @@ def _inverse_stack(a: np.ndarray, floors: np.ndarray):
         # P applied to the identity, then forward and back substitution
         inv.fill(0.0)
         inv.reshape(count * n, n)[np.arange(count * n), perm % n] = 1.0
-        nonzero = (a != 0.0).any(axis=0)
-        _substitute_lower(a, inv, nonzero)
-        # a row of U that is zero right of the diagonal in every member
-        # only divides
-        upper = (nonzero & _below(n).T).any(axis=1).tolist()
+        for k in range(1, n):
+            inv[:, k:k + 1] -= np.matmul(a[:, k:k + 1, :k], inv[:, :k])
         for k in range(n - 1, -1, -1):
-            if upper[k]:
-                inv[:, k:k + 1] -= np.matmul(a[:, k:k + 1, k + 1:],
-                                             inv[:, k + 1:])
+            inv[:, k:k + 1] -= np.matmul(a[:, k:k + 1, k + 1:],
+                                         inv[:, k + 1:])
             inv[:, k] /= diagonal[:, k]
-    if np.count_nonzero(column):
-        inv[column > 0] = np.nan
+    inv[column > 0] = np.nan
     return inv, column, pivots
 
 
 @functools.lru_cache(maxsize=16)
 def _below(n: int) -> np.ndarray:
-    """Read-only n x n mask of the entries below the diagonal; its
-    transpose masks those above. Kept for the last few sizes, which
-    recur: building one costs a few microseconds, a sizeable share of a
-    small matrix's inverse."""
+    """Read-only n x n mask of the entries below the diagonal. Kept for
+    the last few sizes, which recur: building one costs a few
+    microseconds, a sizeable share of a small matrix's L^-1."""
     mask = np.tri(n, k=-1, dtype=bool)
     mask.setflags(write=False)
     return mask
-
-
-def _substitute_lower(lu: np.ndarray, inv: np.ndarray,
-                      nonzero: np.ndarray) -> None:
-    """Forward substitution: ``inv`` becomes ``L^-1 inv`` in place, L
-    being the unit lower factor packed in the (B, n, n) stack ``lu``.
-
-    ``nonzero[k, c]`` says whether ``lu[:, k, c]`` is nonzero in some
-    member. A row of L that is zero in every member is skipped: the value
-    it would be subtracted from is a forward value, which starts at +0 or
-    1 and never becomes -0, so subtracting a sum of zero products would
-    leave it as it is.
-    """
-    below = nonzero & _below(len(nonzero))
-    for k in np.flatnonzero(below.any(axis=1)).tolist():
-        inv[:, k:k + 1] -= np.matmul(lu[:, k:k + 1, :k], inv[:, :k])
 
 
 def _bidiagonal_inverse(multipliers) -> np.ndarray:

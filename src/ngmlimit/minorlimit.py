@@ -423,8 +423,8 @@ def _last_stage_schedule(ray: DiagonalRay, ts: Sequence[float],
 
     Each point is then ``A(t) = L D(t)``, L shared and D(t) its diagonal,
     so ``A(t)^-1 = D(t)^-1 L^-1`` differs between points in row i alone.
-    Partial pivoting keeps every pivot and makes no update, so L's
-    multipliers are the general kernel's, and ``L^-1`` is formed as its
+    Partial pivoting keeps every pivot and the updates change no entry,
+    so L's multipliers are the general kernel's, and ``L^-1`` is formed as its
     forward substitution forms it (:func:`_bidiagonal_inverse`).
     Returns the rows other than i of every ``A(t)^-1`` (n - 1 x n), row i
     at each usable point, and each point's usable and flag, from the

@@ -25,7 +25,7 @@ import numpy as np
 
 from .densela import (SINGULARITY_RTOL, Matrix, _bidiagonal_inverse,
                       _check_integer, _check_positive, _check_rates)
-from .errors import ConfigError
+from .errors import ConfigError, NonFiniteError
 from .minorlimit import ConvergenceReport, default_schedule
 from .ngm import NGMPair, r0_removal_limit, remove_compartment
 
@@ -143,7 +143,8 @@ def _r0_closed(hosts: Sequence[HostParams], vec: VectorParams) -> R0Result:
     Each chain's sum telescopes over its stages: stage k contributes the
     product of its upstream pass-through probabilities
     ``alpha_{l-1} / (alpha_l + mu_l)``. The chains' values combine in
-    quadrature; for one chain that is its own value, bit for bit.
+    quadrature; for one chain that is its own value, bit for bit. A
+    prefactor or value that over- or underflows raises NonFiniteError.
     """
     parts = []
     for host in hosts:
@@ -152,10 +153,18 @@ def _r0_closed(hosts: Sequence[HostParams], vec: VectorParams) -> R0Result:
         for l in range(1, host.stages + 1):
             running *= host.alpha[l - 1] / (host.alpha[l] + host.mu[l - 1])
             total += running
-        prefactor = (host.c * vec.c_v * vec.s_v_bar
-                     / (vec.mu_tilde * host.s_bar))
+        denominator = vec.mu_tilde * host.s_bar
+        prefactor = (host.c * vec.c_v * vec.s_v_bar / denominator
+                     if denominator else math.inf)
+        if not 0.0 < prefactor < math.inf:
+            raise NonFiniteError(f"closed-form r0: prefactor {prefactor!r} "
+                                 f"is not a positive finite float")
         parts.append(vec.f * math.sqrt(prefactor * total))
-    return R0Result(math.hypot(*parts))
+    value = math.hypot(*parts)
+    if not 0.0 < value < math.inf:
+        raise NonFiniteError(f"closed-form r0 {value!r} is not a positive "
+                             f"finite float")
+    return R0Result(value)
 
 
 def _build_ngm(hosts: Sequence[HostParams], vec: VectorParams) -> NGMPair:
@@ -192,11 +201,11 @@ def _build_ngm(hosts: Sequence[HostParams], vec: VectorParams) -> NGMPair:
     pair = NGMPair.__new__(NGMPair)
     # inverse(V), bit for bit: V is lower bidiagonal and each pivot
     # alpha_l + mu_l is at least the alpha_l below it, so the general
-    # kernel swaps no row and makes no update; its forward substitution
-    # forms _bidiagonal_inverse of these multipliers, and it ends in this
-    # division. A row of |V| has at most two nonzeros, so its sum is one
-    # addition, as NumPy's row sum in inf_norm makes it. Below the pivot
-    # floor V_inv stays unset, and NGMPair factors V and raises.
+    # kernel swaps no row and its updates change no entry; its forward
+    # substitution forms _bidiagonal_inverse of these multipliers, and it
+    # ends in this division. A row of |V| has at most two nonzeros, so
+    # its sum is one addition, as NumPy's row sum in inf_norm makes it.
+    # Below the pivot floor V_inv stays unset; NGMPair factors V and raises.
     norm = max(d - l for d, l in zip(diagonal, lower))
     if min(diagonal) >= SINGULARITY_RTOL * norm:
         multipliers = [l / d for l, d in zip(lower[1:], diagonal)]

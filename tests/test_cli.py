@@ -6,6 +6,7 @@ from click.testing import CliRunner
 
 from ngmlimit.cli import _parse_model, main, render_json
 from ngmlimit.ngm import r0
+from ngmlimit.relapse import _build_ngm
 
 UNIT_UNCOUPLED = {
     "model": {
@@ -239,6 +240,20 @@ def _uncoupled(host=None, vector=None):
     return json.dumps(cfg)
 
 
+# uncoupled models whose closed-form r0 is not a positive finite float,
+# while the spectral r0 of their pair is
+CLOSED_FORM_OVERFLOW = _uncoupled(
+    host={"c": 1.0, "s_bar": 1e-300, "alpha": [1e300, 1.0], "mu": [1.0]})
+CLOSED_FORM_UNDERFLOW = _uncoupled(
+    host={"c": 1e-300, "s_bar": 1e300, "alpha": [1.0, 1.0], "mu": [1.0]})
+CLOSED_FORM_ZERO_DENOMINATOR = _uncoupled(
+    host={"c": 1.0, "s_bar": 1e-320, "alpha": [1.0, 1.0], "mu": [1.0]},
+    vector={"s_v_bar": 1e-300, "mu_tilde": 1e-10})
+CLOSED_FORM_NAN = _uncoupled(
+    host={"c": 1e300, "s_bar": 1.0, "alpha": [5e-324, 5.0], "mu": [5.0]},
+    vector={"c_v": 1e300})
+
+
 @pytest.mark.parametrize("command, stdin", [
     # F V^-1 overflows in r0
     ("r0", json.dumps({"ngm": {"f": [[1e308, 1e308], [0, 0]],
@@ -254,8 +269,16 @@ def _uncoupled(host=None, vector=None):
                           "index": 1})),
     # NGMPair's V^-1 overflows, inside the constructor the CLI wraps
     ("r0", json.dumps({"ngm": {"f": [[1]], "v": [[5e-310]]}})),
+    # the closed form overflows, underflows, divides by an underflowed
+    # mu_tilde * s_bar, and multiplies an infinite prefactor by 0
+    ("r0", CLOSED_FORM_OVERFLOW),
+    ("r0", CLOSED_FORM_UNDERFLOW),
+    ("r0", CLOSED_FORM_ZERO_DENOMINATOR),
+    ("r0", CLOSED_FORM_NAN),
 ], ids=["r0-product", "r0-builder-f", "r0-builder-v", "ngm-builder-f",
-        "sweep-default-schedule", "r0-pair-inverse"])
+        "sweep-default-schedule", "r0-pair-inverse", "r0-closed-overflow",
+        "r0-closed-underflow", "r0-closed-zero-denominator",
+        "r0-closed-nan"])
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_overflow_exits_3_without_a_traceback(command, stdin):
     # NumPy's overflow warning is not printed ahead of the typed error
@@ -263,6 +286,23 @@ def test_overflow_exits_3_without_a_traceback(command, stdin):
     assert result.exit_code == 3
     assert result.stderr.startswith("numerical error: ")
     assert "Traceback" not in result.output
+
+
+@pytest.mark.parametrize("stdin", [CLOSED_FORM_ZERO_DENOMINATOR,
+                                   CLOSED_FORM_NAN],
+                         ids=["zero-denominator", "nan"])
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_ngm_and_sweep_do_not_compute_the_closed_form(stdin):
+    # only r0 prints the closed form; the pair's own values are finite
+    result = invoke(["ngm", "--config", "-"], stdin=stdin)
+    assert result.exit_code == 0
+    spectral = json.loads(result.stdout)["r0"]
+    assert 0.0 < spectral < math.inf
+    cfg = json.loads(stdin)
+    cfg["remove_stage"] = 1
+    result = invoke(["sweep", "--config", "-"], stdin=json.dumps(cfg))
+    assert result.exit_code == 0
+    assert result.stderr == ""
 
 
 def test_sweep_names_the_default_schedule_decade_that_overflows():
@@ -319,7 +359,7 @@ def test_ngm_r0_is_r0_of_the_pair_bit_for_bit(cfg):
     # the dump reads r0 off the spectrum it prints, with no second call
     payload = json.loads(invoke(["ngm", "--config", "-"],
                                 stdin=json.dumps(cfg)).stdout)
-    pair, _ = _parse_model(cfg)
+    pair = _build_ngm(*_parse_model(cfg))
     assert payload["r0"].hex() == r0(pair).hex()
     assert payload["r0"] == max(abs(complex(e["re"], e["im"]))
                                 for e in payload["eigenvalues"])

@@ -455,7 +455,7 @@ def test_member_singular_at_its_own_t_is_the_only_one_flagged():
 
 
 # ---------------------------------------------------------------------------
-# null work: rows of L or U that are zero in every member are skipped
+# triangular members: the kernel makes every update and substitution row
 
 def same_bits(x: np.ndarray, y: np.ndarray) -> bool:
     """Equal to the bit, the sign of every zero included."""
@@ -486,10 +486,9 @@ def test_triangular_stacks_equal_reference_bit_for_bit(n):
         inverses, column, _ = _inverse_stack(stack.copy(), stack_floors(stack))
         assert_members_equal_reference(stack, inverses, column)
         for member in stack:
-            # the skipped updates may flip the sign of a zero factor only
             lu = member[None].copy()
             _inverse_stack(lu, stack_floors(lu))
-            assert np.array_equal(lu[0], loop_lu(member, 0.0)[0])
+            assert same_bits(lu[0], loop_lu(member, 0.0)[0])
 
 
 @pytest.mark.parametrize("n", range(2, 10))
@@ -506,7 +505,8 @@ def test_triangular_rays_equal_reference_bit_for_bit_at_every_i(n):
 
 @pytest.mark.parametrize("j", [1, 3, 20, 40])
 def test_relapse_v_equals_reference_bit_for_bit(j):
-    # V is lower bidiagonal: every update and back substitution is skipped
+    # V is lower bidiagonal: its updates and back substitution products
+    # are zeros, which must leave every entry and its sign as they are
     stack = ladder_v_schedule(j)
     inverses, column, _ = _inverse_stack(stack.copy(), stack_floors(stack))
     assert_members_equal_reference(stack, inverses, column)
@@ -514,9 +514,9 @@ def test_relapse_v_equals_reference_bit_for_bit(j):
     assert same_bits(inverse(Matrix._wrap(v))._a, loop_inverse(v))
 
 
-def test_zero_rows_of_some_members_skip_nothing():
-    # one triangular member among dense ones: no row is zero in every
-    # member, so nothing is skipped and every member is its own elimination
+def test_triangular_member_among_dense_ones_equals_reference():
+    # one triangular member among dense ones: every member is its own
+    # elimination, whatever the other members hold
     rng = np.random.default_rng(71)
     for n in (3, 6, 9):
         stacks = triangular_stacks(n, rng)
@@ -529,10 +529,10 @@ def test_zero_rows_of_some_members_skip_nothing():
             assert_members_equal_reference(stack, inverses, column)
 
 
-def test_failed_member_inside_a_skipped_region():
-    # lower triangular members: every update is skipped. Member 1 has an
-    # exact zero pivot in column 3 (0 / 0 multipliers), member 3 one below
-    # the floor in column 2; the rest must not notice.
+def test_failed_members_among_lower_triangular_ones():
+    # lower triangular members, whose updates subtract zeros. Member 1 has
+    # an exact zero pivot in column 3 (0 / 0 multipliers), member 3 one
+    # below the floor in column 2; the rest must not notice.
     rng = np.random.default_rng(72)
     stack = np.tril(rng.uniform(-1.0, 1.0, (5, 5, 5))) + 3.0 * np.eye(5)
     stack[1, 2, 2] = 0.0
@@ -588,8 +588,8 @@ RAY_TS = [-2.0, 0.5, 3.0, 7.0, 1e3, 1e9]
 @pytest.mark.parametrize("j", [1, 2, 10, 40])
 def test_relapse_v_and_last_stage_ray_take_the_lower_path(j):
     # a single relapse V and a ray at species 1's last stage are swap-free
-    # lower triangles: the general kernel skips their zero rows of L and
-    # each member still equals its own elimination
+    # lower triangles: each member of the general kernel's stack equals
+    # its own elimination
     stack = ladder_v_schedule(j)
     for member in (stack[:1], stack):
         assert not assert_stack_equals_reference(member).any()

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from ngmlimit import densela, minorlimit
+from ngmlimit import minorlimit
 from ngmlimit.densela import (Matrix, identity, inf_norm, inverse, matmul,
                               minor, determinant, set_entry)
 from ngmlimit.errors import ConfigError, ConvergenceError, SingularMatrixError
@@ -488,7 +488,7 @@ def lower_sink_ray(n: int, i: int) -> DiagonalRay:
 def test_last_stage_schedule_substitutes_where_l_is_not_bidiagonal(
         monkeypatch, i):
     # L^-1 is formed by the bidiagonal formula only; any other L goes to
-    # the stacked kernel, whose forward substitution runs by rows
+    # the stacked kernel, which inverts every point of the schedule
     ray = lower_sink_ray(8, i)
     # 1e-11 (at i = 8) and 9e11: flagged, kept; 1e-14 and 1e13: below the
     # floor
@@ -500,12 +500,12 @@ def test_last_stage_schedule_substitutes_where_l_is_not_bidiagonal(
     assert [not ok for ok in usable] == [True] + [False] * 7 + [True]
     f = Matrix._wrap(np.diag([0.0, 1.0, 0.0, 0.0, 2.0, 0.0, 0.0, 1.0])
                      + np.eye(8, k=-2))
-    substitutions = []
-    substitute = densela._substitute_lower
-    monkeypatch.setattr(densela, "_substitute_lower", lambda *args: (
-        substitutions.append(True), substitute(*args)))
+    stacked = []
+    inverse_stack = minorlimit._inverse_stack
+    monkeypatch.setattr(minorlimit, "_inverse_stack", lambda *args: (
+        stacked.append(len(args[0])), inverse_stack(*args))[1])
     _, report = spectral_limit(f, ray, ts, target=0.0)
-    assert substitutions
+    assert stacked == [len(ts)]
     assert report.flagged == tuple(flags)
     assert all(math.isfinite(e) == ok
                for e, ok in zip(report.errors, usable))

@@ -252,6 +252,30 @@ def test_coupled_closed_truncates_covering_chains():
         r0_coupled_closed(host1, host2, vec, 5, 3)
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("host, vec, message", [
+    # prefactor * total overflows
+    (HostParams(1.0, 1e-300, (1e300, 1.0), (1.0,)), UNIT_VEC, "r0 inf"),
+    # the prefactor underflows
+    (HostParams(1e-300, 1e300, (1.0, 1.0), (1.0,)), UNIT_VEC,
+     "r0: prefactor 0.0"),
+    # mu_tilde * s_bar underflows to 0
+    (HostParams(1.0, 1e-320, (1.0, 1.0), (1.0,)),
+     VectorParams(1.0, 1.0, 1e-300, 1e-10), "r0: prefactor inf"),
+    # an infinite prefactor times a sum that underflowed to 0
+    (HostParams(1e300, 1.0, (5e-324, 5.0), (5.0,)),
+     VectorParams(1.0, 1e300, 1.0, 1.0), "r0: prefactor inf"),
+], ids=["overflow", "underflow", "zero-denominator", "nan"])
+def test_closed_forms_beyond_the_float_range_raise_non_finite(host, vec,
+                                                              message):
+    expected = f"^closed-form {message} is not a positive finite float$"
+    with pytest.raises(NonFiniteError, match=expected):
+        r0_uncoupled_closed(host, vec, 1)
+    for hosts in ((host, UNIT_HOST), (UNIT_HOST, host)):
+        with pytest.raises(NonFiniteError, match=expected):
+            r0_coupled_closed(*hosts, vec, 1, 1)
+
+
 def test_three_species_construction_matches_its_closed_form():
     rng = np.random.default_rng(57)
     hosts = tuple(random_host(rng, j) for j in (3, 5, 2))
