@@ -64,8 +64,14 @@ class Matrix:
     @classmethod
     def _wrap(cls, a: np.ndarray) -> "Matrix":
         """Internal constructor taking ownership of a float64 array."""
+        return cls._view(_frozen(np.ascontiguousarray(a, dtype=np.float64)))
+
+    @classmethod
+    def _view(cls, a: np.ndarray) -> "Matrix":
+        """Internal constructor over a read-only, C-contiguous, nonempty
+        2-D float64 array that its caller has checked finite."""
         m = object.__new__(cls)
-        m._a = _frozen(np.ascontiguousarray(a, dtype=np.float64))
+        m._a = a
         return m
 
     @classmethod
@@ -376,13 +382,14 @@ def _inverse_stack(a: np.ndarray, floors: np.ndarray):
 
 
 @functools.lru_cache(maxsize=16)
-def _below(n: int) -> np.ndarray:
-    """Read-only n x n mask of the entries below the diagonal. Kept for
-    the last few sizes, which recur: building one costs a few
-    microseconds, a sizeable share of a small matrix's L^-1."""
-    mask = np.tri(n, k=-1, dtype=bool)
+def _below(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only mask of the n x n entries below the diagonal, and the
+    float lower triangle, diagonal included. Kept for the last few sizes,
+    which recur: building them is a sizeable share of a small L^-1."""
+    mask, lower = np.tri(n, k=-1, dtype=bool), np.tri(n)
     mask.setflags(write=False)
-    return mask
+    lower.setflags(write=False)
+    return mask, lower
 
 
 def _bidiagonal_inverse(multipliers) -> np.ndarray:
@@ -394,14 +401,17 @@ def _bidiagonal_inverse(multipliers) -> np.ndarray:
     product of -l_r, l_r being row r's multiplier; ``+ 0.0`` turns each
     zero into the +0 the substitution leaves. Where partial pivoting
     swaps no row, no multiplier exceeds 1 in magnitude, so no product
-    overflows.
+    overflows. Above the diagonal the running products are 1.0, which
+    the lower triangle's zeros make +0.
     """
     n = len(multipliers) + 1
-    below = _below(n)
+    below, lower = _below(n)
     column = np.zeros((n, 1))
     column[1:, 0] = multipliers
-    y = np.cumprod(np.where(below, -column, 1.0), axis=0)
-    y[below.T] = 0.0
+    y = np.ones((n, n))
+    np.negative(column, out=y, where=below)
+    np.multiply.accumulate(y, axis=0, out=y)
+    y *= lower
     y += 0.0
     return y
 

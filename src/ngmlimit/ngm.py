@@ -10,6 +10,7 @@ removal as a limit.
 
 from __future__ import annotations
 
+import functools
 import warnings
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -64,7 +65,9 @@ class NGMPair:
     before ``__init__`` runs, and so do the relapse builders, with
     ``inverse(V)`` formed without its triage. V is factored unless a
     ``V_inv`` is found in place with no entry below ``-MMATRIX_TOL``, so
-    a warning is always decided on a factored inverse.
+    a warning is always decided on a factored inverse. The spectral
+    radius of ``F V^-1`` is kept too, outside ``repr`` and equality, once
+    it is taken; a product that overflows is not kept, so it raises again.
     """
 
     F: Matrix
@@ -93,11 +96,17 @@ class NGMPair:
                 warnings.warn(
                     "V^-1 has negative entries; V is not an M-matrix and "
                     "the epidemiological reading of r0 may not apply",
-                    MMatrixWarning, stacklevel=2)
+                    MMatrixWarning, stacklevel=3)
 
     @property
     def dim(self) -> int:
         return self.F.rows
+
+    @functools.cached_property
+    def _radius(self) -> float:
+        k = self.F._a @ self.V_inv._a
+        _require_finite(k)
+        return float(_max_modulus(_eigvals(k)))
 
 
 @dataclass(frozen=True)
@@ -116,14 +125,11 @@ class ThresholdReport:
 
 
 def r0(pair: NGMPair) -> float:
-    """Basic reproduction number: spectral radius of ``F V^-1``.
-
-    The product is checked finite as ``matmul`` checks it, and its
-    radius is :func:`~ngmlimit.eigen.spectral_radius`'s, bit for bit.
-    """
-    k = pair.F._a @ pair.V_inv._a
-    _require_finite(k)
-    return float(_max_modulus(_eigvals(k)))
+    """Basic reproduction number: spectral radius of ``F V^-1``, taken
+    once per pair. The product is checked finite as ``matmul`` checks it,
+    and its radius is :func:`~ngmlimit.eigen.spectral_radius`'s, bit for
+    bit."""
+    return pair._radius
 
 
 def remove_compartment(pair: NGMPair, i: int) -> NGMPair:
@@ -155,21 +161,15 @@ def dfe_threshold_check(pair: NGMPair) -> ThresholdReport:
 
     The disease-free equilibrium is stable exactly when the spectral
     abscissa of F - V is negative, which should happen exactly when
-    r0 < 1. Both spectra come from one eigenvalue call on ``F V^-1`` and
-    ``F - V``, written in that order into one stack and each checked
-    finite as it is written, so an overflow raises as ``matmul`` and
-    ``Matrix.__sub__`` do; each is read as :func:`r0` and
-    :func:`~ngmlimit.eigen.spectral_abscissa` read it.
+    r0 < 1. r0 is the pair's kept radius, taken first, so an overflow in
+    ``F V^-1`` raises before ``F - V`` is formed; ``F - V`` is checked
+    finite as ``Matrix.__sub__`` checks it, and its abscissa is
+    :func:`~ngmlimit.eigen.spectral_abscissa`'s, bit for bit.
     """
-    f = pair.F._a
-    stack = np.empty((2,) + f.shape)
-    np.matmul(f, pair.V_inv._a, out=stack[0])
-    _require_finite(stack[0])
-    np.subtract(f, pair.V._a, out=stack[1])
-    _require_finite(stack[1])
-    raw = _eigvals(stack)
-    value = float(_max_modulus(raw[0]))
-    abscissa = _abscissa(raw[1])
+    value = pair._radius
+    jacobian = pair.F._a - pair.V._a
+    _require_finite(jacobian)
+    abscissa = _abscissa(_eigvals(jacobian))
     s_r0 = _threshold_sign(value - 1.0)
     s_ab = _threshold_sign(abscissa)
     return ThresholdReport(

@@ -24,7 +24,8 @@ from typing import ClassVar, Sequence
 import numpy as np
 
 from .densela import (SINGULARITY_RTOL, Matrix, _bidiagonal_inverse,
-                      _check_integer, _check_positive, _check_rates)
+                      _check_integer, _check_positive, _check_rates,
+                      _require_finite)
 from .errors import ConfigError, NonFiniteError
 from .minorlimit import ConvergenceReport, default_schedule
 from .ngm import NGMPair, r0_removal_limit, remove_compartment
@@ -178,7 +179,9 @@ def _build_ngm(hosts: Sequence[HostParams], vec: VectorParams) -> NGMPair:
     stage (``f * c_v * s_v_bar / s_bar``).
     """
     n = sum(host.stages for host in hosts) + 1
-    f = np.zeros((n, n))
+    # F and V in one buffer, checked finite once
+    blocks = np.zeros((2, n, n))
+    f, flat_v = blocks[0], blocks[1].reshape(-1)
     # V's diagonal and, row by row, its entry left of the diagonal (0 at
     # a chain's first stage and at the first row)
     diagonal, lower = [], []
@@ -195,9 +198,11 @@ def _build_ngm(hosts: Sequence[HostParams], vec: VectorParams) -> NGMPair:
         start += j
     diagonal.append(vec.mu_tilde)
     lower.append(0.0)
-    v = np.diag(diagonal)
-    np.fill_diagonal(v[1:], lower[1:])
-    f, v = Matrix._wrap(f), Matrix._wrap(v)
+    flat_v[::n + 1] = diagonal
+    flat_v[n::n + 1] = lower[1:]
+    _require_finite(blocks)
+    blocks.setflags(write=False)
+    f, v = Matrix._view(blocks[0]), Matrix._view(blocks[1])
     pair = NGMPair.__new__(NGMPair)
     # inverse(V), bit for bit: V is lower bidiagonal and each pivot
     # alpha_l + mu_l is at least the alpha_l below it, so the general

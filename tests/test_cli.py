@@ -1,11 +1,13 @@
 import json
 import math
+import warnings
 
 import pytest
 from click.testing import CliRunner
 
+from ngmlimit import cli
 from ngmlimit.cli import _parse_model, main, render_json
-from ngmlimit.ngm import r0
+from ngmlimit.ngm import MMatrixWarning, r0
 from ngmlimit.relapse import _build_ngm
 
 UNIT_UNCOUPLED = {
@@ -363,6 +365,18 @@ def test_ngm_r0_is_r0_of_the_pair_bit_for_bit(cfg):
     assert payload["r0"].hex() == r0(pair).hex()
     assert payload["r0"] == max(abs(complex(e["re"], e["im"]))
                                 for e in payload["eigenvalues"])
+
+
+def test_mmatrix_warning_names_the_cli_not_a_generated_frame():
+    # V^-1 of this V has negative entries
+    cfg = {"ngm": {"f": [[0.001, 25.1], [0.001, 0.001]],
+                   "v": [[0.001, 25.1], [0.001, 0.001]]}}
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        result = invoke(["r0", "--config", "-"], stdin=json.dumps(cfg))
+    assert result.exit_code == 0
+    assert [w.category for w in caught] == [MMatrixWarning]
+    assert caught[0].filename == cli.__file__
 
 
 def test_ngm_labels_ordered_species_then_vector():

@@ -341,17 +341,22 @@ def test_abscissa_keeps_the_first_of_tied_signed_zeros(monkeypatch, raw):
     zeros = Matrix._wrap(np.zeros((len(raw), len(raw))))
     monkeypatch.setattr(eigen, "_eigvals", lambda a: raw)
     assert spectral_abscissa(zeros).hex() == expected.hex()
-    # the threshold check's stacked call: F - V is the second member, in a
-    # real stack and in a complex one, where it has no imaginary part
-    pair = NGMPair(zeros, identity(len(raw)), tuple("abcd"[:len(raw)]))
-    rotation = np.zeros(len(raw), dtype=complex)
-    rotation[:2] = [1.0j, -1.0j]
-    for k_values in (np.ones(len(raw)), rotation):
-        monkeypatch.setattr(ngm, "_eigvals",
-                            lambda a: np.array([k_values, raw]))
+    # the threshold check's call on F - V, which comes after the pair's
+    # radius is kept; the values as LAPACK returns a real spectrum, and
+    # with zero imaginary parts
+    for values in (raw, raw.astype(complex)):
+        pair = NGMPair(zeros, identity(len(raw)), tuple("abcd"[:len(raw)]))
+        calls = []
+
+        def spy(a, values=values):
+            calls.append(a.copy())
+            return np.ones(len(a)) if len(calls) == 1 else values
+
+        monkeypatch.setattr(ngm, "_eigvals", spy)
         report = dfe_threshold_check(pair)
         assert report.abscissa.hex() == expected.hex()
         assert report.r0 == 1.0
+        assert np.array_equal(calls[1], (pair.F - pair.V)._a)
 
 
 @pytest.mark.parametrize("a", [[[-0.0, -0.5], [0.5, 0.0]],

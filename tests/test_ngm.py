@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 from ngmlimit import minorlimit, ngm
 from ngmlimit.densela import (Matrix, identity, inf_norm, inverse, matmul,
                               minor)
-from ngmlimit.eigen import eigenvalues, spectral_abscissa
-from ngmlimit.errors import ConfigError, SingularMatrixError
+from ngmlimit.eigen import eigenvalues, spectral_abscissa, spectral_radius
+from ngmlimit.errors import ConfigError, NonFiniteError, SingularMatrixError
 from ngmlimit.minorlimit import (_EPS, DiagonalRay,
                                  _downdated_minor_inverse,
                                  _last_stage_schedule, _spectral_limit,
@@ -199,8 +199,8 @@ def test_threshold_critical_case():
 
 
 def test_threshold_report_equals_r0_and_abscissa_on_dense_pairs():
-    # one stacked eigenvalue call gives what two separate calls give, with
-    # real and complex spectra mixed in one stack either way round
+    # the kept radius and the call on F - V give what the public
+    # functions give, with real and complex spectra either way round
     rng = np.random.default_rng(78)
     kinds = set()
     for n in (1, 2, 3, 5, 8):
@@ -216,10 +216,83 @@ def test_threshold_report_equals_r0_and_abscissa_on_dense_pairs():
             kinds.add(tuple(np.linalg.eigvals(m._a).dtype.kind
                             for m in (k, pair.F - pair.V)))
             report = dfe_threshold_check(pair)
-            assert report.r0.hex() == r0(pair).hex()
+            assert report.r0.hex() == spectral_radius(k).hex()
             assert report.abscissa.hex() == \
                 spectral_abscissa(pair.F - pair.V).hex()
     assert kinds == {("f", "f"), ("f", "c"), ("c", "f"), ("c", "c")}
+
+
+# ---------------------------------------------------------------------------
+# the kept radius
+
+def fresh_pairs():
+    rng = np.random.default_rng(79)
+    for n in (1, 2, 3, 5, 8):
+        for _ in range(10):
+            yield random_mmatrix_pair(rng, n)
+    for j in (1, 3, 6):
+        yield build_uncoupled_ngm(random_host(rng, j), random_vector(rng), j)
+        yield build_coupled_ngm(random_host(rng, j), random_host(rng, 2),
+                                random_vector(rng), j, 2)
+
+
+@pytest.mark.parametrize("check_first", [False, True])
+def test_kept_radius_is_spectral_radius_in_either_order(check_first):
+    for pair in fresh_pairs():
+        expected = spectral_radius(matmul(pair.F, pair.V_inv)).hex()
+        if check_first:
+            first = dfe_threshold_check(pair).r0
+            second = r0(pair)
+        else:
+            first = r0(pair)
+            second = dfe_threshold_check(pair).r0
+        assert first.hex() == second.hex() == expected
+
+
+def test_r0_and_check_take_two_eigenvalue_calls(monkeypatch):
+    calls = []
+    eigvals = ngm._eigvals
+
+    def spy(a):
+        calls.append(a.copy())
+        return eigvals(a)
+
+    monkeypatch.setattr(ngm, "_eigvals", spy)
+    for pair in fresh_pairs():
+        calls.clear()
+        r0(pair)
+        dfe_threshold_check(pair)
+        r0(pair)
+        assert [a.shape for a in calls] == [(pair.dim, pair.dim)] * 2
+        assert np.array_equal(calls[0], matmul(pair.F, pair.V_inv)._a)
+        assert np.array_equal(calls[1], (pair.F - pair.V)._a)
+
+
+def test_overflowing_radius_raises_on_every_call():
+    pair = NGMPair(Matrix([[1e308, 1e308], [0.0, 0.0]]),
+                   Matrix([[0.5, 0.0], [0.0, 0.5]]), ("a", "b"))
+    for fn in (r0, dfe_threshold_check, r0, dfe_threshold_check):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(NonFiniteError):
+                fn(pair)
+        assert [w.category for w in caught] == [RuntimeWarning]
+
+
+def test_kept_radius_is_outside_equality_and_repr():
+    pair, twin = small_mpair(), small_mpair()
+    before = repr(pair)
+    r0(pair)
+    assert pair == twin and twin == pair
+    assert repr(pair) == repr(twin) == before
+
+
+def test_mmatrix_warning_names_the_code_that_built_the_pair():
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        NGMPair(identity(2), Matrix([[1.0, 0.5], [0.0, 1.0]]), ("a", "b"))
+    assert [w.category for w in caught] == [MMatrixWarning]
+    assert caught[0].filename == __file__
 
 
 def test_threshold_consistency_on_random_mmatrix_pairs():

@@ -7,9 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ngmlimit import eigen, ngm, relapse
-from ngmlimit.densela import Matrix, inverse
+from ngmlimit.densela import Matrix, inverse, matmul
 from ngmlimit.errors import ConfigError, NonFiniteError, SingularMatrixError
-from ngmlimit.eigen import spectral_abscissa
+from ngmlimit.eigen import spectral_abscissa, spectral_radius
 from ngmlimit.ngm import dfe_threshold_check, r0, remove_compartment
 from ngmlimit.relapse import (HostParams, R0Result, VectorParams,
                               build_coupled_ngm, build_uncoupled_ngm,
@@ -323,24 +323,60 @@ def assert_same_bits(a: Matrix, b: Matrix):
     assert a._a.tobytes() == b._a.tobytes()
 
 
-@given(hosts=st.lists(chains(), min_size=1, max_size=3),
-       vec=st.builds(VectorParams, log_rate, log_rate, log_rate, log_rate))
-@settings(max_examples=150, deadline=None)
-def test_builder_inverse_is_inverse_of_v_bit_for_bit(hosts, vec):
-    # the builder's bidiagonal closed form against the LU kernel's
-    # elimination of V
+def reference_blocks(hosts, vec):
+    """F and V of host chains sharing one vector, V assembled from its
+    two diagonals with ``np.diag``."""
+    n = sum(host.stages for host in hosts) + 1
+    f = np.zeros((n, n))
+    diagonal, subdiagonal = [], []
+    start = 0
+    for host in hosts:
+        j = host.stages
+        diagonal += [a + m for a, m in zip(host.alpha[1:], host.mu)]
+        # nothing flows from a chain's last stage into the next row
+        subdiagonal += [-a for a in host.alpha[1:j]] + [0.0]
+        f[start, n - 1] = vec.f * host.c * host.alpha[0]
+        f[n - 1, start:start + j] = vec.f * vec.c_v * vec.s_v_bar / host.s_bar
+        start += j
+    v = np.diag(diagonal + [vec.mu_tilde]) + np.diag(subdiagonal, -1)
+    return Matrix._wrap(f), Matrix._wrap(v)
+
+
+def assert_builder_blocks(hosts, vec):
+    # the blocks against the reference assembly, and the builder's
+    # bidiagonal closed form against the LU kernel's elimination of V
     pair = relapse._build_ngm(tuple(hosts), vec)
+    f, v = reference_blocks(hosts, vec)
+    assert_same_bits(pair.F, f)
+    assert_same_bits(pair.V, v)
     assert_same_bits(pair.V_inv, inverse(pair.V))
 
 
 @given(hosts=st.lists(chains(), min_size=1, max_size=3),
        vec=st.builds(VectorParams, log_rate, log_rate, log_rate, log_rate))
 @settings(max_examples=150, deadline=None)
+def test_builder_inverse_is_inverse_of_v_bit_for_bit(hosts, vec):
+    assert_builder_blocks(hosts, vec)
+
+
+@pytest.mark.parametrize("j", [10, 20, 40])
+def test_builder_blocks_on_long_coupled_chains(j):
+    # the (j, j) chains of the ladder workloads
+    rng = np.random.default_rng(60 + j)
+    assert_builder_blocks([random_host(rng, j), random_host(rng, j)],
+                          random_vector(rng))
+
+
+@given(hosts=st.lists(chains(), min_size=1, max_size=3),
+       vec=st.builds(VectorParams, log_rate, log_rate, log_rate, log_rate))
+@settings(max_examples=150, deadline=None)
 def test_threshold_report_equals_r0_and_abscissa_bit_for_bit(hosts, vec):
-    # one stacked eigenvalue call gives what two separate calls give
+    # the kept radius and the call on F - V give what the public
+    # functions give
     pair = relapse._build_ngm(tuple(hosts), vec)
     report = dfe_threshold_check(pair)
-    assert report.r0.hex() == r0(pair).hex()
+    assert report.r0.hex() == \
+        spectral_radius(matmul(pair.F, pair.V_inv)).hex()
     assert report.abscissa.hex() == spectral_abscissa(pair.F - pair.V).hex()
 
 
