@@ -6,7 +6,6 @@ operation returns a fresh matrix and never mutates its inputs.
 
 from __future__ import annotations
 
-import functools
 import math
 import numbers
 from collections.abc import Iterable, Sequence
@@ -381,20 +380,27 @@ def _inverse_stack(a: np.ndarray, floors: np.ndarray):
     return inv, column, pivots
 
 
-@functools.lru_cache(maxsize=16)
+_below_pair: "tuple[np.ndarray, np.ndarray] | None" = None
+
+
 def _below(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only mask of the n x n entries below the diagonal, and the
-    float lower triangle, diagonal included. Kept for the last few sizes,
-    which recur: building them is a sizeable share of a small L^-1."""
-    mask, lower = np.tri(n, k=-1, dtype=bool), np.tri(n)
-    mask.setflags(write=False)
-    lower.setflags(write=False)
-    return mask, lower
+    """Read-only n x n views of the mask of the entries below the
+    diagonal and of the float lower triangle, diagonal included. One pair
+    is kept, at the largest order met so far, and sliced to each order;
+    a larger order replaces it, so views handed out before stay as they
+    were. Building them is a sizeable share of a small L^-1."""
+    global _below_pair
+    if _below_pair is None or len(_below_pair[0]) < n:
+        _below_pair = _frozen(np.tri(n, k=-1, dtype=bool)), _frozen(np.tri(n))
+    mask, lower = _below_pair
+    return mask[:n, :n], lower[:n, :n]
 
 
-def _bidiagonal_inverse(multipliers) -> np.ndarray:
+def _bidiagonal_inverse(multipliers, out: "np.ndarray | None" = None
+                        ) -> np.ndarray:
     """``L^-1``, L being unit lower bidiagonal with ``multipliers`` (n - 1
-    values) on its subdiagonal, as the forward substitution forms it.
+    values) on its subdiagonal, as the forward substitution forms it; in
+    ``out`` (n x n, C-contiguous) where it is given.
 
     Each row of the substitution has one nonzero product, so column c of
     ``L^-1`` is 1 at row c, then at each row r below it the running
@@ -408,7 +414,8 @@ def _bidiagonal_inverse(multipliers) -> np.ndarray:
     below, lower = _below(n)
     column = np.zeros((n, 1))
     column[1:, 0] = multipliers
-    y = np.ones((n, n))
+    y = np.empty((n, n)) if out is None else out
+    y.fill(1.0)
     np.negative(column, out=y, where=below)
     np.multiply.accumulate(y, axis=0, out=y)
     y *= lower

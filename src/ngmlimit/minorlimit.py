@@ -27,9 +27,9 @@ import numpy as np
 from numpy.exceptions import RankWarning
 from numpy.linalg._umath_linalg import lstsq as _gelsd
 
-from .densela import (SINGULARITY_RTOL, Matrix, _bidiagonal_inverse,
-                      _check_index, _check_integer, _check_positive,
-                      _check_real, _drop, _first_low_pivot, _inverse_stack,
+from .densela import (_SMALLEST_POSITIVE, SINGULARITY_RTOL, Matrix,
+                      _bidiagonal_inverse, _check_index, _check_integer,
+                      _check_positive, _check_real, _drop, _inverse_stack,
                       _require_finite, determinant, inf_norm, inverse,
                       matmul, minor, set_entry)
 from .eigen import _eigvals, _max_modulus, spectral_radius
@@ -427,9 +427,13 @@ def _last_stage_schedule(ray: DiagonalRay, ts: Sequence[float],
     so L's multipliers are the general kernel's, and ``L^-1`` is formed as its
     forward substitution forms it (:func:`_bidiagonal_inverse`).
     Returns the rows other than i of every ``A(t)^-1`` (n - 1 x n), row i
-    at each usable point, and each point's usable and flag, from the
-    values and reductions :func:`_invert_schedule` takes: row i of
-    ``|A(t)|`` and of ``|A(t)^-1|`` per point, every other row's sum once.
+    at each usable point, and each point's usable and flag, equal to
+    :func:`_invert_schedule`'s. A row of ``|A(t)|`` has at most two
+    nonzeros, so NumPy's row sum is one addition in any order: the other
+    rows' largest is taken once, and row i's is ``|a_i,i-1| + t``. A point
+    is usable where t and the smallest fixed |pivot| clear its raised
+    floor, the comparisons :func:`_first_low_pivot` makes. Row i of
+    ``|A(t)^-1|`` is summed per point at length n, as the stack sums it.
 
     The rows other than i are ``minor_inverse``, the inverse of the
     (i, i) minor, with column i put back: L's column i is zero below the
@@ -454,15 +458,14 @@ def _last_stage_schedule(ray: DiagonalRay, ts: Sequence[float],
             or (np.abs(below) > np.abs(pivots[:-1])).any()):
         return None
     n = len(a)
-    diagonal = np.repeat(pivots[None], len(ts), axis=0)
-    diagonal[:, c] = ts
-    magnitudes = np.abs(a)
-    row = np.repeat(magnitudes[c, None], len(ts), axis=0)
-    row[:, c] = ts
-    norms = np.maximum(_drop(magnitudes.sum(axis=1), c).max(),
-                       row.sum(axis=1))
-    floors = SINGULARITY_RTOL * norms
-    usable = _first_low_pivot(np.abs(diagonal), floors) == 0
+    t = np.array(ts)
+    magnitudes = np.abs(pivots)
+    sums = magnitudes.copy()
+    sums[1:] += np.abs(below)
+    norms = np.maximum(_drop(sums, c).max(),
+                       t + abs(below[c - 1]) if c else t)
+    low = np.maximum(SINGULARITY_RTOL * norms, _SMALLEST_POSITIVE)
+    usable = (t >= low) & (_drop(magnitudes, c).min() >= low)
     m = minor_inverse._a
     kept = np.empty((n - 1, n))
     kept[:, :c] = m[:, :c]
@@ -471,7 +474,7 @@ def _last_stage_schedule(ray: DiagonalRay, ts: Sequence[float],
     with np.errstate(all="ignore"):
         kept[:, c] = 0.0 / _drop(pivots, c)
         y[:c + 1] = _bidiagonal_inverse(below[:c] / pivots[:c])[c]
-        last = y / diagonal[:, c, None]
+        last = y / t[:, None]
     inverse_norms = np.maximum(np.abs(kept).sum(axis=1).max(),
                                np.abs(last).sum(axis=1))
     flags = ~usable | (norms * inverse_norms > CONDITION_GUARD)

@@ -76,8 +76,7 @@ class NGMPair:
     V_inv: Matrix = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "labels",
-                           tuple(str(name) for name in self.labels))
+        object.__setattr__(self, "labels", tuple(map(str, self.labels)))
         if self.F.rows != self.F.cols:
             raise ValueError(f"F must be square, got {self.F.shape}")
         if self.V.shape != self.F.shape:
@@ -86,13 +85,13 @@ class NGMPair:
         if len(self.labels) != self.F.rows:
             raise ValueError(f"need {self.F.rows} labels, "
                              f"got {len(self.labels)}")
-        if np.any(self.F._a < 0.0):
+        if (self.F._a < 0.0).any():
             raise ValueError("F must be entrywise nonnegative")
         v_inv = self.__dict__.get("V_inv")
-        if v_inv is None or np.any(v_inv._a < -MMATRIX_TOL):
+        if v_inv is None or (v_inv._a < -MMATRIX_TOL).any():
             v_inv = inverse(self.V)  # raises SingularMatrixError if singular
             object.__setattr__(self, "V_inv", v_inv)
-            if np.any(v_inv._a < -MMATRIX_TOL):
+            if (v_inv._a < -MMATRIX_TOL).any():
                 warnings.warn(
                     "V^-1 has negative entries; V is not an M-matrix and "
                     "the epidemiological reading of r0 may not apply",

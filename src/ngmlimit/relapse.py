@@ -18,6 +18,7 @@ reproduces numerically through the spectral-radius limit.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import ClassVar, Sequence
 
@@ -179,8 +180,8 @@ def _build_ngm(hosts: Sequence[HostParams], vec: VectorParams) -> NGMPair:
     stage (``f * c_v * s_v_bar / s_bar``).
     """
     n = sum(host.stages for host in hosts) + 1
-    # F and V in one buffer, checked finite once
-    blocks = np.zeros((2, n, n))
+    # F, V and V^-1 in one buffer, checked finite once
+    blocks = np.zeros((3, n, n))
     f, flat_v = blocks[0], blocks[1].reshape(-1)
     # V's diagonal and, row by row, its entry left of the diagonal (0 at
     # a chain's first stage and at the first row)
@@ -190,7 +191,7 @@ def _build_ngm(hosts: Sequence[HostParams], vec: VectorParams) -> NGMPair:
     for species, host in enumerate(hosts, 1):
         j = host.stages
         diagonal += [a + m for a, m in zip(host.alpha[1:], host.mu)]
-        lower += [0.0, *(-a for a in host.alpha[1:j])]
+        lower += [0.0] + [-a for a in host.alpha[1:j]]
         f[start, n - 1] = vec.f * host.c * host.alpha[0]
         f[n - 1, start:start + j] = vec.f * vec.c_v * vec.s_v_bar / host.s_bar
         prefix = "I" if len(hosts) == 1 else f"I{species}."
@@ -200,24 +201,29 @@ def _build_ngm(hosts: Sequence[HostParams], vec: VectorParams) -> NGMPair:
     lower.append(0.0)
     flat_v[::n + 1] = diagonal
     flat_v[n::n + 1] = lower[1:]
-    _require_finite(blocks)
-    blocks.setflags(write=False)
-    f, v = Matrix._view(blocks[0]), Matrix._view(blocks[1])
-    pair = NGMPair.__new__(NGMPair)
     # inverse(V), bit for bit: V is lower bidiagonal and each pivot
     # alpha_l + mu_l is at least the alpha_l below it, so the general
     # kernel swaps no row and its updates change no entry; its forward
     # substitution forms _bidiagonal_inverse of these multipliers, and it
     # ends in this division. A row of |V| has at most two nonzeros, so
-    # its sum is one addition, as NumPy's row sum in inf_norm makes it.
-    # Below the pivot floor V_inv stays unset; NGMPair factors V and raises.
-    norm = max(d - l for d, l in zip(diagonal, lower))
-    if min(diagonal) >= SINGULARITY_RTOL * norm:
-        multipliers = [l / d for l, d in zip(lower[1:], diagonal)]
+    # its sum is one addition, as NumPy's row sum in inf_norm makes it
+    # (in Python floats, which do not warn on overflow). Below the pivot
+    # floor V^-1's block stays zero and V_inv unset; NGMPair factors V
+    # and raises.
+    invertible = (min(diagonal) >= SINGULARITY_RTOL
+                  * max(map(operator.sub, diagonal, lower)))
+    if invertible:
         with np.errstate(all="ignore"):
-            object.__setattr__(pair, "V_inv", Matrix._wrap(
-                _bidiagonal_inverse(multipliers) / v._a.diagonal()[:, None]))
-    pair.__init__(f, v, (*labels, "Iv"))
+            _bidiagonal_inverse(flat_v[n::n + 1] / flat_v[:-n:n + 1],
+                                out=blocks[2])
+            blocks[2] /= flat_v[::n + 1, None]
+    _require_finite(blocks)
+    blocks.setflags(write=False)
+    pair = NGMPair.__new__(NGMPair)
+    if invertible:
+        object.__setattr__(pair, "V_inv", Matrix._view(blocks[2]))
+    pair.__init__(Matrix._view(blocks[0]), Matrix._view(blocks[1]),
+                  (*labels, "Iv"))
     return pair
 
 

@@ -1,3 +1,4 @@
+import functools
 import warnings
 
 import numpy as np
@@ -5,7 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ngmlimit.densela import (SINGULARITY_RTOL, Matrix, _determinant_stack,
+from ngmlimit import densela
+from ngmlimit.densela import (SINGULARITY_RTOL, Matrix, _below,
+                              _bidiagonal_inverse, _determinant_stack,
                               _inverse_stack, determinant, identity,
                               inf_norm, inverse, matmul, minor, set_entry)
 from ngmlimit.errors import ConfigError, SingularMatrixError
@@ -754,6 +757,77 @@ def test_determinant_sign_follows_swap_parity(perm):
     a = np.eye(4)[perm] * scale[:, None]
     expected = (-1.0) ** _parity(perm) * float(np.prod(scale))
     assert determinant(Matrix._wrap(a)) == expected
+
+
+# ---------------------------------------------------------------------------
+# the unit lower bidiagonal L^-1 and the masks it is formed with
+
+@functools.cache
+def bidiagonal_case(n: int) -> tuple[list[float], bytes]:
+    """Multipliers for an n x n unit lower bidiagonal L, as partial
+    pivoting leaves them (at most 1 in magnitude; some +-0, +-1 or
+    subnormal), and the bytes of L^-1 by forward substitution, written as
+    a Python loop column by column: x_r = e_r - l_r x_(r-1)."""
+    rng = np.random.default_rng(n)
+    multipliers = rng.uniform(-1.0, 1.0, n - 1)
+    special = rng.random(n - 1) < 0.3
+    multipliers[special] = rng.choice([0.0, -0.0, 1.0, -1.0, 5e-324, -1e-310],
+                                      int(special.sum()))
+    multipliers = multipliers.tolist()
+    inverse = np.empty((n, n))
+    for k in range(n):
+        x = [0.0] * n
+        x[k] = 1.0
+        for r in range(1, n):
+            x[r] = x[r] - multipliers[r - 1] * x[r - 1]
+        inverse[:, k] = x
+    return multipliers, inverse.tobytes()
+
+
+@pytest.mark.parametrize("order", ["ascending", "descending", "shuffled"])
+def test_bidiagonal_inverse_is_independent_of_call_order(monkeypatch, order):
+    # the masks start empty and are sliced from the largest order met so
+    # far, whichever order the sizes come in
+    monkeypatch.setattr(densela, "_below_pair", None)
+    sizes = list(range(2, 91))
+    if order == "descending":
+        sizes.reverse()
+    elif order == "shuffled":
+        np.random.default_rng(91).shuffle(sizes)
+    for n in sizes:
+        multipliers, expected = bidiagonal_case(n)
+        assert _bidiagonal_inverse(multipliers).tobytes() == expected
+        # into a buffer that holds other values
+        buffer = np.full((2, n, n), np.nan)
+        out = buffer[1]
+        assert _bidiagonal_inverse(multipliers, out=out) is out
+        assert out.tobytes() == expected
+        assert np.isnan(buffer[0]).all()
+        mask, lower = _below(n)
+        assert not (mask.flags.writeable or lower.flags.writeable)
+        assert mask.tobytes() == np.tri(n, k=-1, dtype=bool).tobytes()
+        assert lower.tobytes() == np.tri(n).tobytes()
+
+
+def test_earlier_masks_and_pairs_survive_a_larger_order(monkeypatch):
+    monkeypatch.setattr(densela, "_below_pair", None)
+    mask, lower = _below(3)
+    rng = np.random.default_rng(81)
+
+    def host(j):
+        return HostParams(1.0, 1.0, tuple(rng.uniform(0.1, 3.0, j + 1)),
+                          tuple(rng.uniform(0.1, 3.0, j)))
+
+    vec = VectorParams(1.0, 1.0, 1.0, 0.7)
+    small = build_coupled_ngm(host(1), host(1), vec, 1, 1)
+    before = [a.tobytes() for a in (mask, lower, small.F._a, small.V._a,
+                                    small.V_inv._a)]
+    build_coupled_ngm(host(40), host(40), vec, 40, 40)
+    assert densela._below_pair[0].shape == (81, 81)
+    assert [a.tobytes() for a in (mask, lower, small.F._a, small.V._a,
+                                  small.V_inv._a)] == before
+    with pytest.raises(ValueError, match="read-only"):
+        mask[2, 0] = False
 
 
 # ---------------------------------------------------------------------------

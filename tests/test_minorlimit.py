@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from ngmlimit import minorlimit
-from ngmlimit.densela import (Matrix, identity, inf_norm, inverse, matmul,
-                              minor, determinant, set_entry)
+from ngmlimit.densela import (SINGULARITY_RTOL, Matrix, identity, inf_norm,
+                              inverse, matmul, minor, determinant,
+                              set_entry)
 from ngmlimit.errors import ConfigError, ConvergenceError, SingularMatrixError
 from ngmlimit.minorlimit import (_EPS, ConvergenceReport, DiagonalRay,
                                  assemble_limit_inverse, default_schedule,
@@ -418,12 +419,14 @@ def quarter_decades(ray: DiagonalRay) -> tuple[float, ...]:
     return tuple(inf_norm(ray.base) * 10.0 ** (q / 4.0) for q in range(29))
 
 
-def assert_schedule_as_stacked(ray: DiagonalRay, ts):
+def assert_schedule_as_stacked(ray: DiagonalRay, ts, minor_inverse=None):
     """The factored schedule of a last-stage ray against the stack of
     inverses: usable points and flags equal, and every usable point's
-    rows, the shared ones and row i, equal to the bit. Returns the
-    usable points and the flags."""
-    factored = _last_stage_schedule(ray, ts, exact_minor_inverse(ray))
+    rows, the shared ones and row i, equal to the bit. The kept rows
+    come from ``minor_inverse``, by default the factored one. Returns
+    the usable points and the flags."""
+    factored = _last_stage_schedule(ray, ts, minor_inverse
+                                    or exact_minor_inverse(ray))
     assert factored is not None
     kept, last, usable, flags = factored
     inverses, stacked_usable, stacked_flags = _invert_schedule(ray, ts)
@@ -553,6 +556,93 @@ def test_last_stage_schedule_keeps_the_signs_of_negative_pivots():
     kept = _last_stage_schedule(ray, quarter_decades(ray),
                                 exact_minor_inverse(ray))[0]
     assert np.signbit(kept[:, 1]).tolist() == [True, True, False]
+
+
+def swap_free_ray(rng) -> DiagonalRay:
+    """A lower-bidiagonal ray that pivoting swaps no row of: pivots of
+    either sign over 1e-8..1e8 (spread by up to 1e+-8 within the ray),
+    each subdiagonal no larger than the pivot above it and some of them
+    +-0, column i zero below the diagonal."""
+    n = int(rng.integers(2, 12))
+    c = int(rng.integers(0, n))
+    spread = rng.choice([1.0, 3.0, 8.0])
+    pivots = (rng.choice([-1.0, 1.0], n) * 10.0 ** rng.uniform(-8.0, 8.0)
+              * 10.0 ** rng.uniform(-spread, spread, n))
+    below = pivots[:-1] * rng.uniform(-1.0, 1.0, n - 1)
+    zero = rng.random(n - 1) < 0.3
+    below[zero] = rng.choice([0.0, -0.0], int(zero.sum()))
+    if c < n - 1:
+        below[c] = rng.choice([0.0, -0.0])
+    return DiagonalRay(Matrix._wrap(np.diag(pivots) + np.diag(below, -1)),
+                       c + 1)
+
+
+def test_last_stage_kernel_equals_the_stack_on_random_rays():
+    # t over 1e-16..1e16 of the ray's largest entry, where points cross
+    # both floors, and now and then anywhere in 1e-320..1e300
+    rng = np.random.default_rng(2425)
+    usable = []
+    for _ in range(250):
+        ray = swap_free_ray(rng)
+        scale = np.abs(ray.base._a).max()
+        ts = np.unique(np.concatenate((
+            scale * 10.0 ** rng.uniform(-16.0, 16.0, rng.integers(1, 9)),
+            10.0 ** rng.uniform(-320.0, 300.0, rng.integers(0, 3)))))
+        try:
+            minor_inverse = exact_minor_inverse(ray)
+        except SingularMatrixError:
+            # then no point is usable, and any kept rows will do
+            minor_inverse = identity(ray.base.rows - 1)
+        with np.errstate(all="ignore"):
+            usable += assert_schedule_as_stacked(
+                ray, tuple(ts[ts > 0].tolist()), minor_inverse)[0]
+    # both outcomes are common
+    assert 0.3 < np.mean(usable) < 0.7
+
+
+# negative pivots; column 1 and column 3 zero below the diagonal
+BOUNDARY_BASE = np.array([[-3.0, 0.0, 0.0, 0.0], [0.0, 5.0, 0.0, 0.0],
+                          [0.0, -4.0, 0.5, 0.0], [0.0, 0.0, 0.0, -2.0]])
+# 1e-12 of the largest row sum of |A(t)| but row i's, at i = 1, 3 and 4
+FLOOR = SINGULARITY_RTOL * 5.0
+
+
+@pytest.mark.parametrize("i, ts, expected", [
+    # row i holds only t
+    (1, (1.0, 5.0, 1e9), [True] * 3),
+    # t exactly at the floor is usable, the float below it is not; at
+    # i = 3 row i's sum is 4 + t
+    (1, (math.nextafter(FLOOR, 0.0), FLOOR), [False, True]),
+    (3, (math.nextafter(FLOOR, 0.0), FLOOR), [False, True]),
+    (4, (math.nextafter(FLOOR, 0.0), FLOOR), [False, True]),
+    # t raises the floor past a fixed pivot: |-2| against 1e-12 of
+    # 4 + t, which passes 2e12 at t = 2e12 - 2, and |0.5| against 1e-12
+    # of 1e300
+    (3, (1e12, 2e12 - 2.0, 3e12), [True, False, False]),
+    (1, (1e11, 1e300), [True, False]),
+    (4, (1e-13, 1.0, 1e13), [False, True, False]),
+])
+def test_last_stage_kernel_at_the_floors(i, ts, expected):
+    ray = DiagonalRay(Matrix._wrap(BOUNDARY_BASE), i)
+    assert assert_schedule_as_stacked(ray, ts)[0] == expected
+
+
+@pytest.mark.parametrize("zero_pivot", [False, True])
+def test_last_stage_kernel_under_the_smallest_positive_clamp(zero_pivot):
+    # every floor, 1e-12 of row sums near 1e-315, underflows to 0 and is
+    # raised to 5e-324: the smallest subnormal t clears it, a zero fixed
+    # pivot does not. Every inverse overflows here, the minor's too, so
+    # only the usable points are compared.
+    base = BOUNDARY_BASE * 1e-315
+    if zero_pivot:
+        base[3, 3] = 0.0
+    ts = (5e-324, 1e-320)
+    for i in (1, 3):
+        ray = DiagonalRay(Matrix._wrap(base), i)
+        with np.errstate(all="ignore"):
+            usable = _last_stage_schedule(ray, ts, identity(3))[2]
+            assert usable == _invert_schedule(ray, ts)[1]
+        assert usable == [not zero_pivot] * 2
 
 
 @pytest.mark.parametrize("j", [2, 10, 40])

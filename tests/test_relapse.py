@@ -367,6 +367,22 @@ def test_builder_blocks_on_long_coupled_chains(j):
                           random_vector(rng))
 
 
+@pytest.mark.parametrize("j, k", [(1, None), (3, 2), (40, 40)])
+def test_builder_blocks_refuse_writes(j, k):
+    # F, V and V^-1 share one read-only buffer; V^-1 is a C-contiguous
+    # block of it, as every Matrix array is
+    rng = np.random.default_rng(61 + j)
+    vec = random_vector(rng)
+    pair = (build_uncoupled_ngm(random_host(rng, j), vec, j) if k is None
+            else build_coupled_ngm(random_host(rng, j), random_host(rng, k),
+                                   vec, j, k))
+    for a in (pair.F._a, pair.V._a, pair.V_inv._a):
+        assert a.flags.c_contiguous and not a.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            a[0, 0] = 1.0
+    assert_same_bits(pair.V_inv, inverse(pair.V))
+
+
 @given(hosts=st.lists(chains(), min_size=1, max_size=3),
        vec=st.builds(VectorParams, log_rate, log_rate, log_rate, log_rate))
 @settings(max_examples=150, deadline=None)
