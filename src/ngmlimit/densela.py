@@ -249,7 +249,10 @@ def minor(a: Matrix, i: int, j: int) -> Matrix:
                          f"got {a.rows}x{a.cols}")
     _check_index("row index i", i, a.rows)
     _check_index("column index j", j, a.cols)
-    return Matrix._wrap(_drop(a._a, i - 1, j - 1))
+    # a fresh C-contiguous copy, finite as every entry of ``a`` is
+    out = _drop(a._a, i - 1, j - 1)
+    out.setflags(write=False)
+    return Matrix._view(out)
 
 
 def _drop(a: np.ndarray, r: "int | None",
@@ -421,6 +424,20 @@ def _bidiagonal_inverse(multipliers, out: "np.ndarray | None" = None
     y *= lower
     y += 0.0
     return y
+
+
+def _bidiagonal_inverse_last_row(multipliers) -> np.ndarray:
+    """The last row of :func:`_bidiagonal_inverse` of ``multipliers``, bit
+    for bit, without its other rows: entry c is the product of -l_r over
+    the rows r below c, multiplied down the column in the order the
+    accumulation takes (less its leading 1.0s, which change no bit), with
+    its zeros made +0."""
+    n = len(multipliers) + 1
+    factors = np.where(_below(n)[0][1:], np.negative(multipliers)[:, None],
+                       1.0)
+    row = np.multiply.reduce(factors, axis=0)
+    row += 0.0
+    return row
 
 
 def determinant(a: Matrix) -> float:

@@ -28,10 +28,10 @@ from numpy.exceptions import RankWarning
 from numpy.linalg._umath_linalg import lstsq as _gelsd
 
 from .densela import (_SMALLEST_POSITIVE, SINGULARITY_RTOL, Matrix,
-                      _bidiagonal_inverse, _check_index, _check_integer,
-                      _check_positive, _check_real, _drop, _inverse_stack,
-                      _require_finite, determinant, inf_norm, inverse,
-                      matmul, minor, set_entry)
+                      _bidiagonal_inverse_last_row, _check_index,
+                      _check_integer, _check_positive, _check_real, _drop,
+                      _inverse_stack, _require_finite, determinant,
+                      inf_norm, inverse, matmul, minor, set_entry)
 from .eigen import _eigvals, _max_modulus, spectral_radius
 from .errors import (ConfigError, ConvergenceError, NonFiniteError,
                      SingularMatrixError)
@@ -51,6 +51,10 @@ __all__ = [
 ]
 
 _EPS = float(np.finfo(np.float64).eps)
+
+# The bit pattern of +inf: a float64 whose bits, read as an unsigned
+# integer, are below it is finite and has no sign bit set.
+_INF_BITS = 0x7FF0000000000000
 
 # Inversions with estimated condition number above this are flagged
 # unreliable in reports rather than trusted.
@@ -243,26 +247,36 @@ def _downdated_minor_inverse(ray: DiagonalRay,
     pivot = float(b[c, c])
     if pivot == 0.0 or not math.isfinite(pivot):
         return None
-    kept = _drop(b, c, c)
-    column = _drop(b[:, c], c)
-    row = _drop(b[c], c) / pivot
+    rows = _drop(b, c)
+    kept = _drop(rows, None, c)
+    column = rows[:, c]
+    # row i over B_ii, whose entry i is 1.0 and passes the test below
+    row = b[c] / pivot
     kept_norm = np.abs(kept).sum(axis=1).max()
-    if (column.any() or np.signbit(column).any()
-            or not np.isfinite(row).all() or np.signbit(row).any()):
+    # by bit pattern: a column entry other than +0, or a row entry with
+    # its sign bit set or its exponent all ones (infinite or NaN)
+    if (np.count_nonzero(column.view(np.int64))
+            or np.count_nonzero(row.view(np.uint64) >= _INF_BITS)):
+        row = _drop(row, c)
         downdated = kept - np.outer(column, row)
         correction_norm = np.abs(column).max() * np.abs(row).sum()
         norm = np.abs(downdated).sum(axis=1).max()
     else:
         downdated, correction_norm, norm = kept, 0.0, kept_norm
+    # |A_[i,i]|: the rows of |A|, less their column i, with row i's sum
+    # zeroed; the others are at least zero, and there is one at least
     a = np.abs(ray.base._a)
-    # |A_[i,i]|: the kept rows of |A|, less their column i
-    minor_norm = _drop(a.sum(axis=1) - a[:, c], c).max()
+    sums = a.sum(axis=1)
+    sums -= a[:, c]
+    sums[c] = 0.0
     # written so that a NaN fails each test
     if not (correction_norm <= _DOWNDATE_GROWTH * kept_norm
             and kept_norm + correction_norm <= _DOWNDATE_GROWTH * norm
-            and (len(b) - 1) * norm * minor_norm <= _DOWNDATE_CONDITION):
+            and (len(b) - 1) * norm * sums.max() <= _DOWNDATE_CONDITION):
         return None
-    return Matrix._wrap(downdated)
+    # the last test holds only where norm, and so every entry, is finite
+    downdated.setflags(write=False)
+    return Matrix._view(downdated)
 
 
 def richardson(x_t: Matrix, x_2t: Matrix, ratio: float = 2.0) -> Matrix:
@@ -403,8 +417,8 @@ def _spectral_limit(f: Matrix, v_ray: DiagonalRay, minor_inverse: Matrix,
         # the other rows' product is shared; row i's term is added last,
         # as the full product sums it where row i holds the last nonzero
         # of each column (a chain's last stage)
-        products = (_drop(f_rows, None, c) @ kept
-                    + f_rows[:, c, None] * last[:, None])
+        products = f_rows[:, c, None] * last[:, None]
+        products += _drop(f_rows, None, c) @ kept
     _require_finite(products)
     blocks = np.ascontiguousarray(products[:, :, rows])
     radii = iter(_max_modulus(_eigvals(blocks)).tolist()
@@ -444,40 +458,47 @@ def _last_stage_schedule(ray: DiagonalRay, ts: Sequence[float],
     middle stage downdated before, it keeps that round-off, as does the
     removed-compartment r0 taken from it, and the radii may move in the
     last bits against re-formed rows. Row i of ``L^-1`` needs only the
-    rows above it, so it is the formula's row i of the leading (i x i)
-    block, padded with +0.
+    rows above it, so it is the formula's last row of the leading (i x i)
+    block (:func:`_bidiagonal_inverse_last_row`), padded with +0. Every
+    step runs under one errstate: a condition estimate past the float
+    range is inf, which trips the guard, as the stack's does, unwarned.
     """
     a = ray.base._a
     c = ray.i - 1
-    pivots, below = a.diagonal(), a.diagonal(-1)
-    # every nonzero on the diagonal or just below it
-    bidiagonal = (np.count_nonzero(a)
-                  == np.count_nonzero(pivots) + np.count_nonzero(below))
-    # pivoting swaps no row where no entry outweighs the pivot above it
-    if (not bidiagonal or np.count_nonzero(below[c:c + 1])
-            or (np.abs(below) > np.abs(pivots[:-1])).any()):
-        return None
     n = len(a)
-    t = np.array(ts)
-    magnitudes = np.abs(pivots)
-    sums = magnitudes.copy()
-    sums[1:] += np.abs(below)
-    norms = np.maximum(_drop(sums, c).max(),
-                       t + abs(below[c - 1]) if c else t)
-    low = np.maximum(SINGULARITY_RTOL * norms, _SMALLEST_POSITIVE)
-    usable = (t >= low) & (_drop(magnitudes, c).min() >= low)
+    pivots, below = a.diagonal(), a.diagonal(-1)
+    magnitudes, drops = np.abs(pivots), np.abs(below)
+    # every nonzero on the diagonal or just below it, none below the
+    # diagonal in column i, and, so that pivoting swaps no row, none
+    # outweighing the pivot above it
+    if (np.count_nonzero(a != 0.0)
+            != np.count_nonzero(magnitudes) + np.count_nonzero(drops)
+            or (c < n - 1 and below[c])
+            or np.count_nonzero(drops > magnitudes[:-1])):
+        return None
     m = minor_inverse._a
     kept = np.empty((n - 1, n))
     kept[:, :c] = m[:, :c]
     kept[:, c + 1:] = m[:, c:]
-    y = np.zeros(n)
+    sums = magnitudes.copy()
+    sums[1:] += drops
+    # every row sum and |pivot| is at least zero: zeroing row i's sum
+    # and making its pivot infinite leaves the other rows' largest sum
+    # and smallest pivot
+    sums[c] = 0.0
+    magnitudes[c] = math.inf
+    t = np.array(ts)
     with np.errstate(all="ignore"):
+        norms = np.maximum(sums.max(), t + drops[c - 1] if c else t)
+        low = np.maximum(SINGULARITY_RTOL * norms, _SMALLEST_POSITIVE)
+        usable = (t >= low) & (magnitudes.min() >= low)
         kept[:, c] = 0.0 / _drop(pivots, c)
-        y[:c + 1] = _bidiagonal_inverse(below[:c] / pivots[:c])[c]
+        y = np.zeros(n)
+        y[:c + 1] = _bidiagonal_inverse_last_row(below[:c] / pivots[:c])
         last = y / t[:, None]
-    inverse_norms = np.maximum(np.abs(kept).sum(axis=1).max(),
-                               np.abs(last).sum(axis=1))
-    flags = ~usable | (norms * inverse_norms > CONDITION_GUARD)
+        inverse_norms = np.maximum(np.abs(kept).sum(axis=1).max(),
+                                   np.abs(last).sum(axis=1))
+        flags = ~usable | (norms * inverse_norms > CONDITION_GUARD)
     return kept, last[usable], usable.tolist(), flags.tolist()
 
 
@@ -504,19 +525,34 @@ def _pair_extrapolant(t1: float, x1, t2: float, x2):
 
 
 def _summarize(ts, values, flags, exact):
+    """The estimate and the ConvergenceReport of the iterates ``values``
+    (None where a point was skipped) along the validated schedule ``ts``
+    against ``exact``, a float or an array."""
     usable = [k for k, v in enumerate(values) if v is not None]
     if not usable:
         raise ConvergenceError(
             "every schedule point produced a singular matrix")
 
-    # One array pass over every point. A skipped point is a block of NaN,
-    # which makes NaN its error and the extrapolated errors it enters.
-    blank = np.full(np.shape(values[usable[0]]), math.nan)
-    x = np.array([blank if v is None else v for v in values])
-    t = np.array(ts).reshape((-1,) + (1,) * (x.ndim - 1))
-    errors = _max_abs_errors(x, exact)
-    extrapolated = _max_abs_errors(
-        _pair_extrapolant(t[:-1], x[:-1], t[1:], x[1:]), exact)
+    if isinstance(exact, float):
+        # the array path's IEEE operations, on scalars; math.fabs returns
+        # a float. A skipped point's error, and the extrapolated errors
+        # it enters, are NaN.
+        errors = [math.nan if v is None else math.fabs(v - exact)
+                  for v in values]
+        extrapolated = [
+            math.nan if x1 is None or x2 is None
+            else math.fabs(_pair_extrapolant(t1, x1, t2, x2) - exact)
+            for t1, x1, t2, x2 in zip(ts, values, ts[1:], values[1:])]
+    else:
+        # One array pass over every point. A skipped point is a block of
+        # NaN, which makes NaN its error and the extrapolated errors it
+        # enters.
+        blank = np.full(np.shape(values[usable[0]]), math.nan)
+        x = np.array([blank if v is None else v for v in values])
+        t = np.array(ts).reshape((-1,) + (1,) * (x.ndim - 1))
+        errors = _max_abs_errors(x, exact)
+        extrapolated = _max_abs_errors(
+            _pair_extrapolant(t[:-1], x[:-1], t[1:], x[1:]), exact)
 
     clean = [k for k in usable if not flags[k]]
     pick = clean if len(clean) >= 2 else usable
@@ -526,7 +562,10 @@ def _summarize(ts, values, flags, exact):
     else:
         estimate = values[pick[-1]]
 
-    report = ConvergenceReport(
+    # every field holds the report's invariants by construction, so
+    # __post_init__ does not check them again
+    report = object.__new__(ConvergenceReport)
+    vars(report).update(
         schedule=ts,
         errors=tuple(errors),
         extrapolated_errors=tuple(extrapolated),
@@ -558,10 +597,10 @@ def _fit_rate(ts, errors, flags) -> "float | None":
     """
     log_t, log_e = [], []
     for t, e, flagged in zip(ts, errors, flags):
-        if flagged or not math.isfinite(e) or e <= 0.0:
-            continue
-        log_t.append(math.log(t))
-        log_e.append(math.log(e))
+        # a NaN error fails both comparisons
+        if not flagged and 0.0 < e < math.inf:
+            log_t.append(math.log(t))
+            log_e.append(math.log(e))
     if len(log_t) < _MIN_FIT_POINTS:
         return None
     lhs = np.empty((len(log_t), 2))

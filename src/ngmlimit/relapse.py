@@ -28,7 +28,8 @@ from .densela import (SINGULARITY_RTOL, Matrix, _bidiagonal_inverse,
                       _check_integer, _check_positive, _check_rates,
                       _require_finite)
 from .errors import ConfigError, NonFiniteError
-from .minorlimit import ConvergenceReport, default_schedule
+from .minorlimit import (ConvergenceReport, _validate_schedule,
+                         default_schedule)
 from .ngm import NGMPair, r0_removal_limit, remove_compartment
 
 __all__ = [
@@ -301,7 +302,10 @@ def relapse_limit_experiment(
     the limit against the closed-form r0 of the reduced system, then
     removes the compartment and repeats down to ``k_final`` stages
     (default ``j - 1``, a single step). Requires j >= 2: removal must
-    leave at least one species-1 stage.
+    leave at least one species-1 stage. A given ``schedule`` is checked
+    once, after the pair is built, and serves every step; without one,
+    each step takes :func:`~ngmlimit.minorlimit.default_schedule` of its
+    pair's V.
     """
     _check_integer("j", j)
     if j < 2:
@@ -315,6 +319,9 @@ def relapse_limit_experiment(
 
     pair = build_coupled_ngm(host1.truncated(j), host2.truncated(j),
                              vec, j, j)
+    # a tuple, so that a one-shot iterable serves every step
+    if schedule is not None:
+        schedule = _validate_schedule(schedule)
     steps = []
     for stage in range(j, k_final, -1):
         target = r0_coupled_closed(host1, host2, vec, stage - 1, j).value

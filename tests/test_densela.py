@@ -8,9 +8,11 @@ from hypothesis import strategies as st
 
 from ngmlimit import densela
 from ngmlimit.densela import (SINGULARITY_RTOL, Matrix, _below,
-                              _bidiagonal_inverse, _determinant_stack,
-                              _inverse_stack, determinant, identity,
-                              inf_norm, inverse, matmul, minor, set_entry)
+                              _bidiagonal_inverse,
+                              _bidiagonal_inverse_last_row,
+                              _determinant_stack, _inverse_stack,
+                              determinant, identity, inf_norm, inverse,
+                              matmul, minor, set_entry)
 from ngmlimit.errors import ConfigError, SingularMatrixError
 from ngmlimit.minorlimit import DiagonalRay
 from ngmlimit.relapse import HostParams, VectorParams, build_coupled_ngm
@@ -807,6 +809,16 @@ def test_bidiagonal_inverse_is_independent_of_call_order(monkeypatch, order):
         assert not (mask.flags.writeable or lower.flags.writeable)
         assert mask.tobytes() == np.tri(n, k=-1, dtype=bool).tobytes()
         assert lower.tobytes() == np.tri(n).tobytes()
+
+
+def test_bidiagonal_inverse_last_row_is_the_substitution_row():
+    # the last row alone, n = 1..90, equals the forward substitution's
+    # byte for byte: signed zeros, +-1 and subnormal multipliers included
+    for n in range(1, 91):
+        multipliers, expected = bidiagonal_case(n)
+        row = _bidiagonal_inverse_last_row(multipliers)
+        assert row.tobytes() == expected[-8 * n:]
+        assert row.tobytes() == _bidiagonal_inverse(multipliers)[-1].tobytes()
 
 
 def test_earlier_masks_and_pairs_survive_a_larger_order(monkeypatch):

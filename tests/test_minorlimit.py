@@ -669,6 +669,29 @@ def test_last_stage_row_that_overflows_raises(f):
         spectral_limit(Matrix._wrap(f), ray, (1e-310,), target=0.0)
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("i", [1, 2, 3, 4])
+def test_condition_estimate_past_the_float_max_is_quiet(i):
+    # At t = 1.7e308 the estimate norm * inverse norm overflows to inf,
+    # which trips the guard with no warning, as the stack's does. No point
+    # is usable at either t: each raises the floor past a fixed pivot.
+    host1 = HostParams(1.1, 0.8, (1.5, 2.0, 0.3), (0.6, 1.2))
+    host2 = HostParams(0.7, 1.3, (2.0, 1.1, 0.7), (0.9, 0.4))
+    vec = VectorParams(f=1.3, c_v=0.8, s_v_bar=1.5, mu_tilde=0.7)
+    pair = build_coupled_ngm(host1, host2, vec, 2, 2)
+    ray = DiagonalRay(pair.V, i)
+    ts = (1e300, 1.7e308)
+    _, usable, flags = _invert_schedule(ray, ts)
+    assert (usable, flags) == ([False, False], [True, True])
+    factored = _last_stage_schedule(ray, ts, exact_minor_inverse(ray))
+    # species 1's and species 2's last stages take the kernel
+    assert (factored is None) == (i % 2 == 1)
+    if factored is not None:
+        assert factored[2:] == (usable, flags)
+    with pytest.raises(ConvergenceError):
+        r0_removal_limit(pair, i, ts)
+
+
 def test_last_stage_removal_never_stacks_the_schedule(monkeypatch):
     pair = relapse_pair(10)
     calls = []

@@ -11,7 +11,7 @@ from ngmlimit.densela import (Matrix, identity, inf_norm, inverse, matmul,
                               minor)
 from ngmlimit.eigen import eigenvalues, spectral_abscissa, spectral_radius
 from ngmlimit.errors import ConfigError, NonFiniteError, SingularMatrixError
-from ngmlimit.minorlimit import (_EPS, DiagonalRay,
+from ngmlimit.minorlimit import (_EPS, ConvergenceReport, DiagonalRay,
                                  _downdated_minor_inverse,
                                  _last_stage_schedule, _spectral_limit,
                                  assemble_limit_inverse, exact_minor_inverse,
@@ -498,6 +498,16 @@ def test_near_singular_minor_is_caught_by_each_guard(monkeypatch):
     assert _downdated_minor_inverse(ray, pair.V_inv) is not None
 
 
+def test_row_i_takes_no_part_in_the_minor_norm():
+    # Row 2 of A sums to 2e11, all of it outside the (2, 2) minor [[1]]:
+    # the conditioning guard reads 1 * |M| * |A_[2,2]| = 1, not 1e11, and
+    # the minor inverse is downdated, not factored
+    a = Matrix([[1.0, 0.0], [1e11, 1e11]])
+    downdated = _downdated_minor_inverse(DiagonalRay(a, 2), inverse(a))
+    assert downdated is not None
+    assert downdated.entry(1, 1) == pytest.approx(1.0, abs=4.0 * _EPS)
+
+
 def test_cancelling_downdate_gives_way_to_factoring(monkeypatch):
     # V = [[1, -1], [-1, 1 + d]] has B = [[1 + d, 1], [1, 1]] / d, so at
     # i = 1 the downdate cancels two terms of size 1/d to 1/(1 + d)
@@ -613,6 +623,54 @@ def test_last_stage_limit_after_a_middle_removal_reads_the_downdate():
     assert report.flagged == factored.flagged
     for got, expected in zip(report.errors, factored.errors):
         assert abs(got - expected) <= 8.0 * _EPS * expected
+
+
+def report_hex(report: ConvergenceReport):
+    rate = report.fitted_rate
+    return ([t.hex() for t in report.schedule],
+            [e.hex() for e in report.errors],
+            [e.hex() for e in report.extrapolated_errors],
+            None if rate is None else rate.hex(), report.flagged)
+
+
+@pytest.mark.parametrize("j", [10, 25, 40])
+@pytest.mark.parametrize("species", [1, 2])
+def test_removal_step_at_ladder_sizes_is_the_factored_one_bit_for_bit(
+        j, species):
+    # a step of the removal ladder at a species' last stage, on the
+    # 29-point quarter-decade schedule of the ladder benchmark, with the
+    # closed-form target and with none; spectral_limit factors the minor
+    rng = np.random.default_rng(j)
+    hosts = random_host(rng, j), random_host(rng, j)
+    vec = random_vector(rng, f=float(rng.uniform(0.1, 3.0)))
+    pair = build_coupled_ngm(*hosts, vec, j, j)
+    i = species * j
+    schedule = tuple(inf_norm(pair.V) * 10.0 ** (1.0 + q / 4.0)
+                     for q in range(29))
+    stages = (j - 1, j) if species == 1 else (j, j - 1)
+    for target in (r0_coupled_closed(*hosts, vec, *stages).value, None):
+        report = r0_removal_limit(pair, i, schedule, target)
+        _, factored = spectral_limit(pair.F, DiagonalRay(pair.V, i),
+                                     schedule, target)
+        assert report_hex(report) == report_hex(factored)
+        # the public constructor, which checks every field, builds the
+        # same value with the same attributes
+        public = ConvergenceReport(report.schedule, report.errors,
+                                   report.extrapolated_errors,
+                                   report.fitted_rate, report.flagged)
+        assert report_hex(public) == report_hex(report)
+        assert vars(public) == vars(report)
+        assert all(type(e) is float
+                   for e in report.errors + report.extrapolated_errors)
+    reduced = remove_compartment(pair, i)
+    v_minor = minor(pair.V, i, i)
+    for got, expected in [(reduced.F, minor(pair.F, i, i)),
+                          (reduced.V, v_minor),
+                          (reduced.V_inv, inverse(v_minor))]:
+        assert got.shape == expected.shape
+        assert got._a.tobytes() == expected._a.tobytes()
+        assert got._a.flags.c_contiguous and not got._a.flags.writeable
+    assert reduced.labels == pair.labels[:i - 1] + pair.labels[i:]
 
 
 def test_pair_still_takes_no_inverse_argument():

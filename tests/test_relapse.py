@@ -575,6 +575,29 @@ def test_experiment_accepts_explicit_schedule():
     assert steps[0].report.schedule == schedule
 
 
+def test_experiment_takes_a_one_shot_schedule():
+    # the schedule is checked once, into a tuple that every step reads,
+    # so a generator serves a ladder of three steps as a tuple does
+    rng = np.random.default_rng(65)
+    host1, host2 = random_host(rng, 4), random_host(rng, 4)
+    vec = random_vector(rng)
+    schedule = tuple(10.0 ** k for k in range(1, 9))
+    expected = relapse_limit_experiment(host1, host2, vec, 4,
+                                        schedule=schedule, k_final=1)
+    steps = relapse_limit_experiment(host1, host2, vec, 4,
+                                     schedule=(t for t in schedule),
+                                     k_final=1)
+    assert [step.stage for step in steps] == [4, 3, 2]
+    for step, want in zip(steps, expected):
+        assert step.report.schedule == schedule
+        assert [e.hex() for e in step.report.errors] == \
+            [e.hex() for e in want.report.errors]
+        assert step == want
+    with pytest.raises(ConfigError, match="^schedule: must be nonempty$"):
+        relapse_limit_experiment(host1, host2, vec, 4, schedule=iter(()),
+                                 k_final=1)
+
+
 def test_experiment_k_final_bounds():
     rng = np.random.default_rng(63)
     host1, host2 = random_host(rng, 3), random_host(rng, 3)
