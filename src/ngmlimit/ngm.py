@@ -61,9 +61,9 @@ class NGMPair:
     non-M-matrix V triggers an MMatrixWarning. ``V_inv`` keeps the
     inverse of V computed by that check; it is not a constructor
     argument and takes no part in ``repr`` or equality.
-    :func:`remove_compartment` sets it, downdated from the larger pair's,
-    before ``__init__`` runs, and so do the relapse builders, with
-    ``inverse(V)`` formed without its triage. V is factored unless a
+    :func:`remove_compartment` presets it, downdated from the larger
+    pair's, through :func:`_with_inverse`, and so do the relapse builders,
+    with ``inverse(V)`` formed without its triage. V is factored unless a
     ``V_inv`` is found in place with no entry below ``-MMATRIX_TOL``, so
     a warning is always decided on a factored inverse. The spectral
     radius of ``F V^-1`` is kept too, outside ``repr`` and equality, once
@@ -123,6 +123,17 @@ class ThresholdReport:
     critical: bool
 
 
+def _with_inverse(F: Matrix, V: Matrix, labels: Sequence[str],
+                  V_inv: "Matrix | None") -> NGMPair:
+    """``NGMPair(F, V, labels)`` with ``V_inv`` preset to a candidate
+    inverse of V; ``__init__`` keeps it or, where it is None or has an
+    entry below ``-MMATRIX_TOL``, factors V."""
+    pair = NGMPair.__new__(NGMPair)
+    object.__setattr__(pair, "V_inv", V_inv)
+    pair.__init__(F, V, labels)
+    return pair
+
+
 def r0(pair: NGMPair) -> float:
     """Basic reproduction number: spectral radius of ``F V^-1``, taken
     once per pair. The product is checked finite as ``matmul`` checks it,
@@ -141,12 +152,9 @@ def remove_compartment(pair: NGMPair, i: int) -> NGMPair:
     if pair.dim < 2:
         raise ValueError("cannot remove the only compartment")
     _check_index("i", i, pair.dim)
-    labels = pair.labels[:i - 1] + pair.labels[i:]
-    reduced = NGMPair.__new__(NGMPair)
-    object.__setattr__(reduced, "V_inv", _downdated_minor_inverse(
-        DiagonalRay(pair.V, i), pair.V_inv))
-    reduced.__init__(minor(pair.F, i, i), minor(pair.V, i, i), labels)
-    return reduced
+    v_inv = _downdated_minor_inverse(DiagonalRay(pair.V, i), pair.V_inv)
+    return _with_inverse(minor(pair.F, i, i), minor(pair.V, i, i),
+                         pair.labels[:i - 1] + pair.labels[i:], v_inv)
 
 
 def _threshold_sign(x: float) -> int:

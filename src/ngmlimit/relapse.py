@@ -30,7 +30,8 @@ from .densela import (SINGULARITY_RTOL, Matrix, _bidiagonal_inverse,
 from .errors import ConfigError, NonFiniteError
 from .minorlimit import (ConvergenceReport, _validate_schedule,
                          default_schedule)
-from .ngm import NGMPair, r0_removal_limit, remove_compartment
+from .ngm import (NGMPair, _with_inverse, r0_removal_limit,
+                  remove_compartment)
 
 __all__ = [
     "HostParams",
@@ -209,8 +210,8 @@ def _build_ngm(hosts: Sequence[HostParams], vec: VectorParams) -> NGMPair:
     # ends in this division. A row of |V| has at most two nonzeros, so
     # its sum is one addition, as NumPy's row sum in inf_norm makes it
     # (in Python floats, which do not warn on overflow). Below the pivot
-    # floor V^-1's block stays zero and V_inv unset; NGMPair factors V
-    # and raises.
+    # floor V^-1's block stays zero and no V_inv is preset; NGMPair
+    # factors V and raises.
     invertible = (min(diagonal) >= SINGULARITY_RTOL
                   * max(map(operator.sub, diagonal, lower)))
     if invertible:
@@ -220,12 +221,9 @@ def _build_ngm(hosts: Sequence[HostParams], vec: VectorParams) -> NGMPair:
             blocks[2] /= flat_v[::n + 1, None]
     _require_finite(blocks)
     blocks.setflags(write=False)
-    pair = NGMPair.__new__(NGMPair)
-    if invertible:
-        object.__setattr__(pair, "V_inv", Matrix._view(blocks[2]))
-    pair.__init__(Matrix._view(blocks[0]), Matrix._view(blocks[1]),
-                  (*labels, "Iv"))
-    return pair
+    return _with_inverse(Matrix._view(blocks[0]), Matrix._view(blocks[1]),
+                         (*labels, "Iv"),
+                         Matrix._view(blocks[2]) if invertible else None)
 
 
 def r0_uncoupled_closed(host: HostParams, vec: VectorParams,

@@ -678,13 +678,11 @@ def test_pair_still_takes_no_inverse_argument():
         NGMPair(identity(2), identity(2), ("a", "b"), V_inv=identity(2))
 
 
-def preset_pair(f: Matrix, v: Matrix, v_inv: Matrix) -> NGMPair:
+def preset_pair(f: Matrix, v: Matrix, v_inv: "Matrix | None") -> NGMPair:
     """A pair built as remove_compartment and the relapse builders build
     theirs: ``V_inv`` set before ``__init__`` runs."""
-    pair = NGMPair.__new__(NGMPair)
-    object.__setattr__(pair, "V_inv", v_inv)
-    pair.__init__(f, v, tuple(f"C{k}" for k in range(1, f.rows + 1)))
-    return pair
+    labels = tuple(f"C{k}" for k in range(1, f.rows + 1))
+    return ngm._with_inverse(f, v, labels, v_inv)
 
 
 def test_mmatrix_check_warns_once_and_refactors_a_negative_preset(
@@ -705,9 +703,10 @@ def test_mmatrix_check_warns_once_and_refactors_a_negative_preset(
     non_m = Matrix([[1.0, 0.5], [0.0, 1.0]])
     m_matrix = Matrix([[1.0, -0.2], [-0.4, 2.0]])
     negative = Matrix([[1.0, -1.0], [0.0, 1.0]])
-    # factored, or preset with a negative entry and so refactored: the
-    # warning comes once
+    # factored, preset with None, or preset with a negative entry and so
+    # refactored: the warning comes once
     for build in (lambda: NGMPair(identity(2), non_m, ("a", "b")),
+                  lambda: preset_pair(identity(2), non_m, None),
                   lambda: preset_pair(identity(2), non_m, negative)):
         calls.clear()
         pair, caught = built(build)
