@@ -426,20 +426,6 @@ def _bidiagonal_inverse(multipliers, out: "np.ndarray | None" = None
     return y
 
 
-def _bidiagonal_inverse_last_row(multipliers) -> np.ndarray:
-    """The last row of :func:`_bidiagonal_inverse` of ``multipliers``, bit
-    for bit, without its other rows: entry c is the product of -l_r over
-    the rows r below c, multiplied down the column in the order the
-    accumulation takes (less its leading 1.0s, which change no bit), with
-    its zeros made +0."""
-    n = len(multipliers) + 1
-    factors = np.where(_below(n)[0][1:], np.negative(multipliers)[:, None],
-                       1.0)
-    row = np.multiply.reduce(factors, axis=0)
-    row += 0.0
-    return row
-
-
 def determinant(a: Matrix) -> float:
     """Determinant via row-pivoted triangular factorization.
 

@@ -28,10 +28,10 @@ from numpy.exceptions import RankWarning
 from numpy.linalg._umath_linalg import lstsq as _gelsd
 
 from .densela import (_SMALLEST_POSITIVE, SINGULARITY_RTOL, Matrix,
-                      _bidiagonal_inverse_last_row, _check_index,
-                      _check_integer, _check_positive, _check_real, _drop,
-                      _inverse_stack, _require_finite, determinant,
-                      inf_norm, inverse, matmul, minor, set_entry)
+                      _bidiagonal_inverse, _check_index, _check_integer,
+                      _check_positive, _check_real, _drop, _inverse_stack,
+                      _require_finite, determinant, inf_norm, inverse,
+                      matmul, minor, set_entry)
 from .eigen import _eigvals, _max_modulus, spectral_radius
 from .errors import (ConfigError, ConvergenceError, NonFiniteError,
                      SingularMatrixError)
@@ -52,10 +52,6 @@ __all__ = [
 
 _EPS = float(np.finfo(np.float64).eps)
 
-# The bit pattern of +inf: a float64 whose bits, read as an unsigned
-# integer, are below it is finite and has no sign bit set.
-_INF_BITS = 0x7FF0000000000000
-
 # Inversions with estimated condition number above this are flagged
 # unreliable in reports rather than trusted.
 CONDITION_GUARD = 1.0 / (100.0 * _EPS)
@@ -63,13 +59,11 @@ CONDITION_GUARD = 1.0 / (100.0 * _EPS)
 # Least-squares rate fitting needs at least this many clean points.
 _MIN_FIT_POINTS = 3
 
-# A minor-inverse downdate gives way to factoring when its rank-one
-# correction, or its terms against its result, grow past this factor.
-_DOWNDATE_GROWTH = 10.0
-
-# ... or when n * cond_inf of the minor passes this: factoring could then
-# meet a pivot below the singularity floor (1e12, with a 100x margin).
-_DOWNDATE_CONDITION = 1e10
+# A minor's inverse taken by deleting a row and column of the base's
+# inverse gives way to factoring when n * cond_inf of the minor passes
+# this: factoring could then meet a pivot below the singularity floor
+# (1e12, with a 100x margin).
+_DELETION_CONDITION = 1e10
 
 
 @dataclass(frozen=True)
@@ -209,74 +203,49 @@ def exact_minor_inverse(ray: DiagonalRay) -> Matrix:
             pivot=exc.pivot, column=exc.column) from None
 
 
-def _downdated_minor_inverse(ray: DiagonalRay,
-                             base_inverse: Matrix) -> "Matrix | None":
-    """The inverse of the ray's (i, i) minor, downdated from
-    ``base_inverse``, the inverse of the ray's base; None where the
-    downdate cannot be trusted and the caller must factor the minor.
+def _minor_inverse_by_deletion(ray: DiagonalRay,
+                               base_inverse: Matrix) -> "Matrix | None":
+    """The inverse of the ray's (i, i) minor, as ``base_inverse``, the
+    inverse of the ray's base, less its row and column i; None where that
+    deletion is not exact, or cannot be trusted, and the caller must
+    factor the minor.
 
     With ``B = A^-1`` and m every index but i, the (i, i) minor's inverse
-    is ``M = B_mm - B_mi B_im / B_ii``: O(n^2) work in place of an O(n^3)
-    factorization. Where column or row i of B is zero off the diagonal
-    (the last or first stage of a chain), the correction is zero and the
-    subtraction exact; on relapse models M is then bit for bit the
-    factored inverse. Where column i is +0 off the diagonal and row i,
-    over B_ii, is finite with no sign bit set, every term of the
-    correction is +0 and ``x - (+0)`` is x, -0 included: M is ``B_mm``
-    itself and its norm that of ``B_mm``, with no correction formed. Any
-    other zero column takes the subtraction, which turns a -0 of
-    ``B_mm`` into +0 where its term is -0.
-
-    None is returned, so that factoring decides, and raises where the
-    minor is singular, when (inf-norms):
+    is ``B_mm - B_mi B_im / B_ii``. Where column or row i of B is zero
+    off the diagonal (the last or first stage of a chain), the correction
+    is zero and the minor's inverse is ``B_mm`` exactly: O(n^2) copying in
+    place of an O(n^3) factorization. None is returned, so that factoring
+    decides, and raises where the minor is singular, when (inf-norms):
 
     * B_ii is zero or not finite;
-    * B_ii is small against ``|B_mi| |B_im| / |B_mm|``: the correction
-      ``B_mi B_im / B_ii`` exceeds _DOWNDATE_GROWTH * |B_mm| (it never
-      exceeds |B_mm| when A is an M-matrix);
-    * the subtraction cancels: ``|B_mm|`` plus the correction's norm
-      exceeds _DOWNDATE_GROWTH * |M|;
-    * ``n |M| |A_[i,i]|`` exceeds _DOWNDATE_CONDITION, n being the minor's
-      order. Partial pivoting gives ``P A_[i,i] = L U`` with
-      ``|L| <= n``, so every pivot is at least ``1 / (n |M|)``; below
+    * column i and row i of B both hold a nonzero off the diagonal;
+    * ``n |B_mm| |A_[i,i]|`` exceeds _DELETION_CONDITION, n being the
+      minor's order. Partial pivoting gives ``P A_[i,i] = L U`` with
+      ``|L| <= n``, so every pivot is at least ``1 / (n |B_mm|)``; below
       1e12 none falls under ``SINGULARITY_RTOL * |A_[i,i]|``, and the 100x
-      margin covers the rounding in M.
+      margin covers the rounding in B.
     """
     b = base_inverse._a
     c = ray.i - 1
     pivot = float(b[c, c])
-    if pivot == 0.0 or not math.isfinite(pivot):
+    if (pivot == 0.0 or not math.isfinite(pivot)
+            or (np.count_nonzero(b[:, c]) > 1
+                and np.count_nonzero(b[c]) > 1)):
         return None
-    rows = _drop(b, c)
-    kept = _drop(rows, None, c)
-    column = rows[:, c]
-    # row i over B_ii, whose entry i is 1.0 and passes the test below
-    row = b[c] / pivot
-    kept_norm = np.abs(kept).sum(axis=1).max()
-    # by bit pattern: a column entry other than +0, or a row entry with
-    # its sign bit set or its exponent all ones (infinite or NaN)
-    if (np.count_nonzero(column.view(np.int64))
-            or np.count_nonzero(row.view(np.uint64) >= _INF_BITS)):
-        row = _drop(row, c)
-        downdated = kept - np.outer(column, row)
-        correction_norm = np.abs(column).max() * np.abs(row).sum()
-        norm = np.abs(downdated).sum(axis=1).max()
-    else:
-        downdated, correction_norm, norm = kept, 0.0, kept_norm
+    kept = _drop(b, c, c)
     # |A_[i,i]|: the rows of |A|, less their column i, with row i's sum
     # zeroed; the others are at least zero, and there is one at least
     a = np.abs(ray.base._a)
     sums = a.sum(axis=1)
     sums -= a[:, c]
     sums[c] = 0.0
-    # written so that a NaN fails each test
-    if not (correction_norm <= _DOWNDATE_GROWTH * kept_norm
-            and kept_norm + correction_norm <= _DOWNDATE_GROWTH * norm
-            and (len(b) - 1) * norm * sums.max() <= _DOWNDATE_CONDITION):
+    # written so that a NaN fails the test, which holds only where every
+    # entry of the kept block is finite
+    if not ((len(b) - 1) * np.abs(kept).sum(axis=1).max() * sums.max()
+            <= _DELETION_CONDITION):
         return None
-    # the last test holds only where norm, and so every entry, is finite
-    downdated.setflags(write=False)
-    return Matrix._view(downdated)
+    kept.setflags(write=False)
+    return Matrix._view(kept)
 
 
 def richardson(x_t: Matrix, x_2t: Matrix, ratio: float = 2.0) -> Matrix:
@@ -453,13 +422,9 @@ def _last_stage_schedule(ray: DiagonalRay, ts: Sequence[float],
     (i, i) minor, with column i put back: L's column i is zero below the
     diagonal, so that column is ``+0 / pivot`` and the rest of those
     rows is the minor's inverse. Where ``minor_inverse`` is factored, or
-    downdated from a V^-1 formed as above, that is the formula's value
-    bit for bit. Where it is downdated from a V^-1 that a removal at a
-    middle stage downdated before, it keeps that round-off, as does the
-    removed-compartment r0 taken from it, and the radii may move in the
-    last bits against re-formed rows. Row i of ``L^-1`` needs only the
-    rows above it, so it is the formula's last row of the leading (i x i)
-    block (:func:`_bidiagonal_inverse_last_row`), padded with +0. Every
+    deleted from a V^-1 formed as above, that is the formula's value bit
+    for bit. Row i of ``L^-1`` needs only the rows above it, so it is the
+    last row of the leading (i x i) block's inverse, padded with +0. Every
     step runs under one errstate: a condition estimate past the float
     range is inf, which trips the guard, as the stack's does, unwarned.
     """
@@ -494,7 +459,7 @@ def _last_stage_schedule(ray: DiagonalRay, ts: Sequence[float],
         usable = (t >= low) & (magnitudes.min() >= low)
         kept[:, c] = 0.0 / _drop(pivots, c)
         y = np.zeros(n)
-        y[:c + 1] = _bidiagonal_inverse_last_row(below[:c] / pivots[:c])
+        y[:c + 1] = _bidiagonal_inverse(below[:c] / pivots[:c])[c]
         last = y / t[:, None]
         inverse_norms = np.maximum(np.abs(kept).sum(axis=1).max(),
                                    np.abs(last).sum(axis=1))

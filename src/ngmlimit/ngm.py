@@ -11,6 +11,7 @@ removal as a limit.
 from __future__ import annotations
 
 import functools
+import sys
 import warnings
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -20,7 +21,7 @@ import numpy as np
 from .densela import Matrix, _check_index, _require_finite, inverse, minor
 from .eigen import _abscissa, _eigvals, _max_modulus
 from .minorlimit import (ConvergenceReport, DiagonalRay,
-                         _downdated_minor_inverse, _spectral_limit,
+                         _minor_inverse_by_deletion, _spectral_limit,
                          exact_minor_inverse)
 
 __all__ = [
@@ -61,13 +62,14 @@ class NGMPair:
     non-M-matrix V triggers an MMatrixWarning. ``V_inv`` keeps the
     inverse of V computed by that check; it is not a constructor
     argument and takes no part in ``repr`` or equality.
-    :func:`remove_compartment` presets it, downdated from the larger
-    pair's, through :func:`_with_inverse`, and so do the relapse builders,
-    with ``inverse(V)`` formed without its triage. V is factored unless a
-    ``V_inv`` is found in place with no entry below ``-MMATRIX_TOL``, so
-    a warning is always decided on a factored inverse. The spectral
-    radius of ``F V^-1`` is kept too, outside ``repr`` and equality, once
-    it is taken; a product that overflows is not kept, so it raises again.
+    :func:`remove_compartment` presets it, deleted from the larger pair's
+    where that is exact, through :func:`_with_inverse`, and so do the
+    relapse builders, with ``inverse(V)`` formed without its triage. V is
+    factored unless a ``V_inv`` is found in place with no entry below
+    ``-MMATRIX_TOL``, so a warning is always decided on a factored
+    inverse. The spectral radius of ``F V^-1`` is kept too, outside
+    ``repr`` and equality, once it is taken; a product that overflows is
+    not kept, so it raises again.
     """
 
     F: Matrix
@@ -92,10 +94,15 @@ class NGMPair:
             v_inv = inverse(self.V)  # raises SingularMatrixError if singular
             object.__setattr__(self, "V_inv", v_inv)
             if (v_inv._a < -MMATRIX_TOL).any():
+                # name the first caller outside this module, past the
+                # dataclass __init__ and _with_inverse, which run in it
+                frame, level = sys._getframe(1), 2
+                while frame.f_globals is globals():
+                    frame, level = frame.f_back, level + 1
                 warnings.warn(
                     "V^-1 has negative entries; V is not an M-matrix and "
                     "the epidemiological reading of r0 may not apply",
-                    MMatrixWarning, stacklevel=3)
+                    MMatrixWarning, stacklevel=level)
 
     @property
     def dim(self) -> int:
@@ -145,14 +152,14 @@ def r0(pair: NGMPair) -> float:
 def remove_compartment(pair: NGMPair, i: int) -> NGMPair:
     """Drop compartment i (1-based): take (i, i) minors of F and V.
 
-    The new pair's ``V_inv`` is downdated from ``pair.V_inv`` in O(n^2)
-    where that is safe (``minorlimit._downdated_minor_inverse``) and
-    factored where it is not; a singular minor raises SingularMatrixError.
+    The new pair's ``V_inv`` is ``pair.V_inv`` less row and column i where
+    that is exact (``minorlimit._minor_inverse_by_deletion``) and factored
+    elsewhere; a singular minor raises SingularMatrixError.
     """
     if pair.dim < 2:
         raise ValueError("cannot remove the only compartment")
     _check_index("i", i, pair.dim)
-    v_inv = _downdated_minor_inverse(DiagonalRay(pair.V, i), pair.V_inv)
+    v_inv = _minor_inverse_by_deletion(DiagonalRay(pair.V, i), pair.V_inv)
     return _with_inverse(minor(pair.F, i, i), minor(pair.V, i, i),
                          pair.labels[:i - 1] + pair.labels[i:], v_inv)
 
@@ -199,11 +206,11 @@ def r0_removal_limit(
     :func:`~ngmlimit.minorlimit.spectral_limit` does, and measures each
     point against the removed-compartment r0 (or an explicit ``target``,
     e.g. a closed form). The (i, i) minor's inverse, for that r0 and for
-    failing fast on a singular minor, is downdated from ``pair.V_inv``
-    where that is safe and factored where it is not.
+    failing fast on a singular minor, is taken as
+    :func:`remove_compartment` takes it.
     """
     ray = DiagonalRay(pair.V, i)
-    minor_inverse = _downdated_minor_inverse(ray, pair.V_inv)
+    minor_inverse = _minor_inverse_by_deletion(ray, pair.V_inv)
     if minor_inverse is None:
         minor_inverse = exact_minor_inverse(ray)
     _, report = _spectral_limit(pair.F, ray, minor_inverse, schedule, target)

@@ -1,4 +1,5 @@
 import math
+import sys
 import warnings
 
 import numpy as np
@@ -12,8 +13,7 @@ from ngmlimit.densela import (Matrix, identity, inf_norm, inverse, matmul,
 from ngmlimit.eigen import eigenvalues, spectral_abscissa, spectral_radius
 from ngmlimit.errors import ConfigError, NonFiniteError, SingularMatrixError
 from ngmlimit.minorlimit import (_EPS, ConvergenceReport, DiagonalRay,
-                                 _downdated_minor_inverse,
-                                 _last_stage_schedule, _spectral_limit,
+                                 _minor_inverse_by_deletion,
                                  assemble_limit_inverse, exact_minor_inverse,
                                  spectral_limit)
 from ngmlimit.ngm import (MMATRIX_TOL, MMatrixWarning, NGMPair,
@@ -388,18 +388,14 @@ def test_spectrum_identity_zero_union():
 
 
 # ---------------------------------------------------------------------------
-# downdated minor inverse
+# a minor's inverse by deletion
 
 _EPS = float(np.finfo(np.float64).eps)
 
 
-def _inf_norm(a):
-    return float(np.abs(a).sum(axis=1).max())
-
-
 def _refuse_factoring(monkeypatch):
     def refuse(*args):
-        raise AssertionError("factored where the downdate applies")
+        raise AssertionError("factored where the deletion applies")
     monkeypatch.setattr(ngm, "inverse", refuse)
     monkeypatch.setattr(ngm, "exact_minor_inverse", refuse)
 
@@ -423,33 +419,65 @@ def test_end_stage_downdate_is_the_factored_inverse_bit_for_bit(
         assert report == expected
 
 
-def test_downdate_agrees_with_factoring_within_its_error_bound():
-    # A backward-stable inverse B + E of V has |E| <= n eps cond(V) |B|.
-    # To first order B + E downdates to M + P E Q, where P = [I, -v/b]
-    # and Q = [I; -w/b] with v = B_mi, w = B_im, b = B_ii; that bound
-    # also covers the downdate's own rounding, eps (|B_mm| + |v||w|/|b|).
-    # Factoring the minor errs by at most n eps cond(minor) |M|.
+@pytest.mark.parametrize("j", [2, 10, 40])
+def test_removal_at_every_stage_is_the_factored_one_bit_for_bit(j):
+    # deleted where row or column i of V^-1 is zero off the diagonal (an
+    # end stage), factored at every other stage: either way the reduced
+    # V^-1 is the factored inverse of the minor, and the limit is
+    # spectral_limit's, which factors it
+    rng = np.random.default_rng(j)
+    pair = build_coupled_ngm(random_host(rng, j), random_host(rng, j),
+                             random_vector(rng), j, j)
+    for i in range(1, pair.dim + 1):
+        factored = inverse(minor(pair.V, i, i))
+        assert (remove_compartment(pair, i).V_inv._a.tobytes()
+                == factored._a.tobytes())
+        _, expected = spectral_limit(pair.F, DiagonalRay(pair.V, i))
+        assert report_hex(r0_removal_limit(pair, i)) == report_hex(expected)
+
+
+def test_dense_minor_inverse_is_factored(monkeypatch):
+    # an irreducible M-matrix has a positive inverse, so no row or column
+    # of V^-1 is zero off the diagonal and every minor is factored
+    calls = []
+
+    def counting(ray):
+        calls.append(ray)
+        return exact_minor_inverse(ray)
+
+    monkeypatch.setattr(ngm, "exact_minor_inverse", counting)
     rng = np.random.default_rng(2024)
-    for _ in range(200):
+    for _ in range(50):
         n = int(rng.integers(2, 9))
         pair = random_mmatrix_pair(rng, n)
-        b = pair.V_inv._a
+        assert (pair.V_inv._a > 0.0).all()
         for i in range(1, n + 1):
-            got = _downdated_minor_inverse(DiagonalRay(pair.V, i),
-                                           pair.V_inv)
-            assert got is not None
-            v_minor = minor(pair.V, i, i)._a
-            factored = inverse(minor(pair.V, i, i))._a
-            c = i - 1
-            p = 1.0 + np.abs(np.delete(b[:, c], c)).max() / abs(b[c, c])
-            q = max(1.0, np.abs(np.delete(b[c], c)).sum() / abs(b[c, c]))
-            bound = n * _EPS * (
-                _inf_norm(pair.V._a) * _inf_norm(b) ** 2 * p * q
-                + _inf_norm(v_minor) * _inf_norm(factored) ** 2)
-            assert _inf_norm(got._a - factored) <= bound
+            ray = DiagonalRay(pair.V, i)
+            assert _minor_inverse_by_deletion(ray, pair.V_inv) is None
+            factored = inverse(minor(pair.V, i, i))
+            assert (remove_compartment(pair, i).V_inv._a.tobytes()
+                    == factored._a.tobytes())
+            calls.clear()
+            r0_removal_limit(pair, i, (1e3, 1e4))
+            assert calls == [ray]
 
 
-# factoring raises these, at the parent of the downdate as now
+@pytest.mark.parametrize("zero", ["column", "row"])
+def test_deletion_keeps_the_kept_block_as_it_is(zero):
+    # B_mm is returned as it stands, signed zeros included
+    b = np.array([[2.0, 0.5, -0.0], [-1.0, 1.0, 3.0], [-0.0, 0.25, 3.0]])
+    if zero == "column":
+        b[[0, 2], 1] = 0.0, -0.0
+    else:
+        b[1, [0, 2]] = -0.0, 0.0
+    base_inverse = Matrix._wrap(b)
+    ray = DiagonalRay(inverse(base_inverse), 2)
+    got = _minor_inverse_by_deletion(ray, base_inverse)._a
+    assert got.tobytes() == np.delete(np.delete(b, 1, 0), 1, 1).tobytes()
+    assert not got.flags.writeable
+
+
+# factoring raises these
 _MINOR_SINGULAR = (r"^the \(i, i\) minor at i=1 is singular "
                    r"\(pivot {pivot} in minor column {column}\)$")
 _MATRIX_SINGULAR = r"^matrix is singular to working tolerance: {detail}$"
@@ -459,8 +487,8 @@ def test_zero_pivot_downdate_raises_the_factored_errors():
     # V = [[0, 1], [1, 0]] is its own inverse, so B_ii = 0 at i = 1
     pair = NGMPair(Matrix([[0.5, 0.0], [0.0, 0.5]]),
                    Matrix([[0.0, 1.0], [1.0, 0.0]]), ("a", "b"))
-    assert _downdated_minor_inverse(DiagonalRay(pair.V, 1),
-                                    pair.V_inv) is None
+    assert _minor_inverse_by_deletion(DiagonalRay(pair.V, 1),
+                                      pair.V_inv) is None
     with pytest.raises(SingularMatrixError, match=_MINOR_SINGULAR.format(
             pivot=r"0\.000e\+00", column=1)):
         r0_removal_limit(pair, 1)
@@ -469,56 +497,39 @@ def test_zero_pivot_downdate_raises_the_factored_errors():
         remove_compartment(pair, 1)
 
 
-def test_near_singular_minor_is_caught_by_each_guard(monkeypatch):
-    # the (1, 1) minor [[1, 1], [1, 1 + 1e-14]] has a pivot below the
-    # singularity floor, but B_ii is about -1e-14, not zero: the growth
-    # guard and the condition guard each send it to factoring alone
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", MMatrixWarning)
-        pair = NGMPair(identity(3),
-                       Matrix([[0.0, 1.0, 0.0], [1.0, 1.0, 1.0],
-                               [0.0, 1.0, 1.0 + 1e-14]]), ("a", "b", "c"))
+def test_near_singular_minor_is_caught_by_the_condition_guard(monkeypatch):
+    # column 1 of V^-1 = diag(1, M^-1) is zero off the diagonal, but the
+    # minor M = [[1, -1], [-1, 1 + 1e-14]] has a pivot below the
+    # singularity floor: the condition guard sends it to factoring, which
+    # raises. V^-1 is preset, since V, whose pivots include M's, does not
+    # factor.
+    d = 1e-14
+    v = Matrix([[1.0, 0.0, 0.0], [0.0, 1.0, -1.0], [0.0, -1.0, 1.0 + d]])
+    v_inv = Matrix([[1.0, 0.0, 0.0], [0.0, (1.0 + d) / d, 1.0 / d],
+                    [0.0, 1.0 / d, 1.0 / d]])
+    pair = preset_pair(identity(3), v, v_inv)
+    assert pair.V_inv is v_inv
     ray = DiagonalRay(pair.V, 1)
-    for guard in ("_DOWNDATE_GROWTH", "_DOWNDATE_CONDITION"):
-        with monkeypatch.context() as m:
-            m.setattr(minorlimit, guard, math.inf)
-            assert _downdated_minor_inverse(ray, pair.V_inv) is None
-            with pytest.raises(SingularMatrixError,
-                               match=_MINOR_SINGULAR.format(
-                                   pivot=r"9\.992e-15", column=2)):
-                r0_removal_limit(pair, 1)
-            with pytest.raises(SingularMatrixError,
-                               match=_MATRIX_SINGULAR.format(
-                                   detail=r"pivot 9\.992e-15 in column 2 is "
-                                          r"below the singularity threshold "
-                                          r"2\.000e-12")):
-                remove_compartment(pair, 1)
-    monkeypatch.setattr(minorlimit, "_DOWNDATE_GROWTH", math.inf)
-    monkeypatch.setattr(minorlimit, "_DOWNDATE_CONDITION", math.inf)
-    assert _downdated_minor_inverse(ray, pair.V_inv) is not None
+    assert _minor_inverse_by_deletion(ray, pair.V_inv) is None
+    with pytest.raises(SingularMatrixError, match=_MINOR_SINGULAR.format(
+            pivot=r"9\.992e-15", column=2)):
+        r0_removal_limit(pair, 1)
+    with pytest.raises(SingularMatrixError, match=_MATRIX_SINGULAR.format(
+            detail=r"pivot 9\.992e-15 in column 2 is below the singularity "
+                   r"threshold 2\.000e-12")):
+        remove_compartment(pair, 1)
+    monkeypatch.setattr(minorlimit, "_DELETION_CONDITION", math.inf)
+    assert _minor_inverse_by_deletion(ray, pair.V_inv) is not None
 
 
 def test_row_i_takes_no_part_in_the_minor_norm():
     # Row 2 of A sums to 2e11, all of it outside the (2, 2) minor [[1]]:
     # the conditioning guard reads 1 * |M| * |A_[2,2]| = 1, not 1e11, and
-    # the minor inverse is downdated, not factored
+    # the minor inverse is deleted, not factored
     a = Matrix([[1.0, 0.0], [1e11, 1e11]])
-    downdated = _downdated_minor_inverse(DiagonalRay(a, 2), inverse(a))
-    assert downdated is not None
-    assert downdated.entry(1, 1) == pytest.approx(1.0, abs=4.0 * _EPS)
-
-
-def test_cancelling_downdate_gives_way_to_factoring(monkeypatch):
-    # V = [[1, -1], [-1, 1 + d]] has B = [[1 + d, 1], [1, 1]] / d, so at
-    # i = 1 the downdate cancels two terms of size 1/d to 1/(1 + d)
-    d = 1e-3
-    pair = NGMPair(identity(2), Matrix([[1.0, -1.0], [-1.0, 1.0 + d]]),
-                   ("a", "b"))
-    ray = DiagonalRay(pair.V, 1)
-    assert _downdated_minor_inverse(ray, pair.V_inv) is None
-    assert remove_compartment(pair, 1).V_inv == inverse(Matrix([[1.0 + d]]))
-    monkeypatch.setattr(minorlimit, "_DOWNDATE_GROWTH", math.inf)
-    assert _downdated_minor_inverse(ray, pair.V_inv) is not None
+    deleted = _minor_inverse_by_deletion(DiagonalRay(a, 2), inverse(a))
+    assert deleted is not None
+    assert deleted.entry(1, 1) == pytest.approx(1.0, abs=4.0 * _EPS)
 
 
 def test_reduced_pair_warns_where_its_inverse_has_negative_entries():
@@ -533,23 +544,16 @@ def test_reduced_pair_warns_where_its_inverse_has_negative_entries():
         remove_compartment(pair, 1)  # the minor [[1, 0], [0, 1]]
 
 
-def test_downdate_round_off_does_not_warn():
-    # Rates near 1e-6 put V^-1 entries near 1e6. Removing a middle stage
-    # cuts the chain, and the downdate leaves round-off below
-    # -MMATRIX_TOL where the factored inverse has exact zeros.
-    j, stage = 12, 6
-    host = HostParams(1.0, 1.0,
-                      tuple(1e-6 * (1.0 + 0.05 * k) for k in range(j + 1)),
-                      (2e-8,) * j)
-    pair = build_uncoupled_ngm(host, VectorParams(1.0, 1.0, 1.0, 1e-6), j)
-    downdated = _downdated_minor_inverse(DiagonalRay(pair.V, stage),
-                                         pair.V_inv)
-    assert downdated._a.min() < -MMATRIX_TOL
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        reduced = remove_compartment(pair, stage)
-    assert reduced.V_inv == inverse(reduced.V)
-    assert reduced.V_inv._a.min() == 0.0
+def test_removal_warning_names_the_callers_line():
+    v = Matrix([[1.0, 0.5, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
+    with pytest.warns(MMatrixWarning):
+        pair = NGMPair(identity(3), v, ("a", "b", "c"))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        line = sys._getframe().f_lineno + 1
+        remove_compartment(pair, 3)
+    assert [w.category for w in caught] == [MMatrixWarning]
+    assert (caught[0].filename, caught[0].lineno) == (__file__, line)
 
 
 def full_downdate(ray: DiagonalRay, base_inverse: Matrix) -> np.ndarray:
@@ -569,60 +573,27 @@ def test_zero_correction_downdate_equals_the_full_subtraction():
                                  random_vector(rng), j, j)
         for i in (j, 2 * j):
             ray = DiagonalRay(pair.V, i)
-            got = _downdated_minor_inverse(ray, pair.V_inv)
+            got = _minor_inverse_by_deletion(ray, pair.V_inv)
             assert got._a.tobytes() == full_downdate(ray, pair.V_inv).tobytes()
 
 
-@pytest.mark.parametrize("column_entry, row_entry, negative_zero", [
-    (0.0, -1.0, False), (-0.0, 1.0, False), (0.0, 0.0, True)])
-def test_zero_column_keeps_the_signed_zeros_of_the_subtraction(
-        column_entry, row_entry, negative_zero):
-    # B_mm holds a -0 in a column where row i is -1: the term there is
-    # +0 * (-1) = -0, and -0 - (-0) is +0; so it is where column i holds
-    # a -0 against a row entry of 1. Where both are +0 the term is +0 and
-    # the -0 stays.
-    b = np.array([[2.0, column_entry, -0.0], [0.0, 1.0, row_entry],
-                  [-1.0, 0.0, 3.0]])
-    base_inverse = Matrix._wrap(b)
-    ray = DiagonalRay(inverse(base_inverse), 2)
-    got = _downdated_minor_inverse(ray, base_inverse)._a
-    assert got.tobytes() == full_downdate(ray, base_inverse).tobytes()
-    assert got[0, 1] == 0.0 and np.signbit(got[0, 1]) == negative_zero
-
-
-@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
-                            "ignore:invalid:RuntimeWarning")
-def test_zero_column_with_a_non_finite_row_is_refused():
-    # row i over a subnormal B_ii overflows: the downdate gives way
-    base_inverse = Matrix([[1e-310, 1.0], [0.0, 1.0]])
-    ray = DiagonalRay(identity(2), 1)
-    assert _downdated_minor_inverse(ray, base_inverse) is None
-
-
-def test_last_stage_limit_after_a_middle_removal_reads_the_downdate():
-    # Removing stage 2 of a (5, 5) pair cuts species 1's chain, and the
-    # downdated V^-1 keeps round-off where the factored one has zeros. A
-    # later limit at species 1's new last stage takes its kept rows from
-    # the minor's inverse downdated from that V^-1, not from L^-1 formed
-    # anew, so its radii move in the last bits against spectral_limit's,
-    # whose kept rows are the factored minor inverse.
+def test_last_stage_limit_after_a_middle_removal_is_the_factored_one():
+    # Removing stage 2 of a (5, 5) pair cuts species 1's chain. Its minor
+    # is factored, so the reduced V^-1 holds the cut's exact zeros, and a
+    # later limit at species 1's new last stage, whose kept rows are that
+    # V^-1 less row and column 4, equals spectral_limit's, which factors
+    # the minor anew.
     rng = np.random.default_rng(1)
     pair = build_coupled_ngm(random_host(rng, 5), random_host(rng, 5),
                              random_vector(rng), 5, 5)
     reduced = remove_compartment(pair, 2)
-    assert reduced.V_inv != inverse(reduced.V)
+    assert reduced.V_inv._a.tobytes() == inverse(reduced.V)._a.tobytes()
     ray = DiagonalRay(reduced.V, 4)
-    downdated = _downdated_minor_inverse(ray, reduced.V_inv)
     ts = tuple(inf_norm(ray.base) * 10.0 ** (q / 4.0) for q in range(29))
-    kept = _last_stage_schedule(ray, ts, downdated)[0]
-    assert np.delete(kept, 3, axis=1).tobytes() == downdated._a.tobytes()
-    report = r0_removal_limit(reduced, 4, ts, target=0.0)
-    assert report == _spectral_limit(reduced.F, ray, downdated, ts, 0.0)[1]
-    _, factored = spectral_limit(reduced.F, ray, ts, target=0.0)
-    assert report.errors != factored.errors
-    assert report.flagged == factored.flagged
-    for got, expected in zip(report.errors, factored.errors):
-        assert abs(got - expected) <= 8.0 * _EPS * expected
+    for target in (0.0, None):
+        report = r0_removal_limit(reduced, 4, ts, target)
+        _, factored = spectral_limit(reduced.F, ray, ts, target)
+        assert report_hex(report) == report_hex(factored)
 
 
 def report_hex(report: ConvergenceReport):

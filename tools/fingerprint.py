@@ -207,7 +207,7 @@ def cli_outputs():
 
     The coupled sweep also removes stages 1, 4 and 5: a chain's first or
     last stage deletes a row and column of V^-1 exactly, while stage 4,
-    the middle of host2's chain, takes a full rank-one downdate. At a
+    the middle of host2's chain, factors the minor. At a
     chain's last stage (uncoupled; coupled at 2 and 5) the schedule is
     factored as V(t)^-1 = D(t)^-1 L^-1; stages 1 and 4 stack the inverses.
     On lower-triangular raw matrices, ``lower-sink`` is factored, column 2
@@ -317,11 +317,11 @@ def _inverses(rng):
 def _ladders(rng):
     """On coupled (j, j) pairs at j = 2, 10, 20 and 40: every step of a
     removal ladder down to one species-1 stage (errors, extrapolated
-    errors, fitted rate, flags), each a downdate of V^-1 and a rate fit;
+    errors, fitted rate, flags), each a deletion from V^-1 and a rate fit;
     ``spectral_limit`` with no target at each species' last stage and at
     a middle species-1 stage, where the stacked kernel inverts a sparse
-    V(t); and the downdated V^-1 of removing the first, a middle and the
-    last species-1 stage."""
+    V(t); and the reduced V^-1 of removing the first, a middle (factored)
+    and the last species-1 stage."""
     from ngmlimit import (DiagonalRay, VectorParams, build_coupled_ngm,
                           relapse_limit_experiment, remove_compartment,
                           spectral_limit)
