@@ -11,7 +11,7 @@ import json
 import math
 import sys
 from contextlib import contextmanager
-from dataclasses import fields
+from dataclasses import asdict, fields
 
 import click
 import numpy as np
@@ -252,18 +252,8 @@ def verify(seed, out, inject_fault):
     report = {
         "seed": seed,
         "all_passed": all(r.passed for r in results),
-        "criteria": [
-            {
-                "name": r.name,
-                "description": r.description,
-                "passed": r.passed,
-                "worst_error": r.worst_error,
-                "tolerance": r.tolerance,
-                "cases": r.cases,
-                "details": r.details,
-            }
-            for r in results
-        ],
+        # keyed in CriterionResult's field order
+        "criteria": [asdict(r) for r in results],
     }
     _emit(render_json(report), out)
     sys.exit(0 if report["all_passed"] else EXIT_PROPERTY_FAILURE)
@@ -366,15 +356,14 @@ def cmd_ngm(config_path, out):
             raise ConfigError("config", 'needs a "model" section')
         pair = _build_ngm(*_parse_model(cfg))
         product = matmul(pair.F, pair.V_inv)
-        spectrum = eigenvalues(product)
         _emit(render_json({
             "labels": list(pair.labels),
             "f": pair.F.to_lists(),
             "v": pair.V.to_lists(),
             "ngm": product.to_lists(),
             "eigenvalues": [{"re": v.real, "im": v.imag}
-                            for v in spectrum.values],
-            "r0": max(abs(v) for v in spectrum),  # r0(pair), bit for bit
+                            for v in eigenvalues(product).values],
+            "r0": r0(pair),
         }), out)
 
 

@@ -126,7 +126,12 @@ class ConvergenceReport:
     flagged: tuple[bool, ...]
 
     def __post_init__(self):
-        _validate_schedule(self.schedule)
+        # stored as tuples, so that equality and hashing hold for any
+        # sequences given
+        object.__setattr__(self, "schedule",
+                           _validate_schedule(self.schedule))
+        for name in ("errors", "extrapolated_errors", "flagged"):
+            object.__setattr__(self, name, tuple(getattr(self, name)))
         n = len(self.schedule)
         if len(self.errors) != n or len(self.flagged) != n:
             raise ValueError("errors and flagged must match the schedule")
@@ -324,9 +329,9 @@ def limit_minor_inverse(
                             else default_schedule(ray.base))
     inverses, usable, flags = _invert_schedule(ray, ts)
     keep = np.delete(np.arange(ray.base.rows), ray.i - 1)
+    # a skipped point's inverse, and so its minor, is NaN
     minors = inverses[:, keep[:, None], keep]
-    values = [m if ok else None for m, ok in zip(minors, usable)]
-    estimate, report = _summarize(ts, values, flags, exact._a)
+    estimate, report = _summarize(ts, minors, usable, flags, exact._a)
     return Matrix._wrap(np.array(estimate, dtype=np.float64)), report
 
 
@@ -390,10 +395,11 @@ def _spectral_limit(f: Matrix, v_ray: DiagonalRay, minor_inverse: Matrix,
         products += _drop(f_rows, None, c) @ kept
     _require_finite(products)
     blocks = np.ascontiguousarray(products[:, :, rows])
-    radii = iter(_max_modulus(_eigvals(blocks)).tolist()
-                 if len(rows) else [0.0] * len(products))
-    values = [next(radii) if ok else None for ok in usable]
-    estimate, report = _summarize(ts, values, flags, target)
+    radii = np.full(len(ts), math.nan)
+    # fromiter makes the list of bools a mask faster than indexing does
+    radii[np.fromiter(usable, bool, len(ts))] = (
+        _max_modulus(_eigvals(blocks)) if len(rows) else 0.0)
+    estimate, report = _summarize(ts, radii, usable, flags, target)
     return float(estimate), report
 
 
@@ -489,43 +495,31 @@ def _pair_extrapolant(t1: float, x1, t2: float, x2):
     return (t2 * x2 - t1 * x1) / (t2 - t1)
 
 
-def _summarize(ts, values, flags, exact):
-    """The estimate and the ConvergenceReport of the iterates ``values``
-    (None where a point was skipped) along the validated schedule ``ts``
-    against ``exact``, a float or an array."""
-    usable = [k for k, v in enumerate(values) if v is not None]
-    if not usable:
+def _summarize(ts, x, usable, flags, exact):
+    """The estimate and the ConvergenceReport of the iterates ``x``, a
+    float array of one value or block per point of the validated
+    schedule ``ts``, against ``exact``, a float or an array. ``x`` is NaN
+    where ``usable`` is False, which makes NaN that point's error and the
+    extrapolated errors it enters."""
+    points = [k for k, ok in enumerate(usable) if ok]
+    if not points:
         raise ConvergenceError(
             "every schedule point produced a singular matrix")
+    # one pass over each point's iterate, then each adjacent pair's
+    # extrapolant
+    t = np.array(ts).reshape((-1,) + (1,) * (x.ndim - 1))
+    gaps = np.abs(np.concatenate(
+        (x, _pair_extrapolant(t[:-1], x[:-1], t[1:], x[1:]))) - exact)
+    errors = gaps.max(axis=tuple(range(1, x.ndim))).tolist()
+    errors, extrapolated = errors[:len(ts)], errors[len(ts):]
 
-    if isinstance(exact, float):
-        # the array path's IEEE operations, on scalars; math.fabs returns
-        # a float. A skipped point's error, and the extrapolated errors
-        # it enters, are NaN.
-        errors = [math.nan if v is None else math.fabs(v - exact)
-                  for v in values]
-        extrapolated = [
-            math.nan if x1 is None or x2 is None
-            else math.fabs(_pair_extrapolant(t1, x1, t2, x2) - exact)
-            for t1, x1, t2, x2 in zip(ts, values, ts[1:], values[1:])]
-    else:
-        # One array pass over every point. A skipped point is a block of
-        # NaN, which makes NaN its error and the extrapolated errors it
-        # enters.
-        blank = np.full(np.shape(values[usable[0]]), math.nan)
-        x = np.array([blank if v is None else v for v in values])
-        t = np.array(ts).reshape((-1,) + (1,) * (x.ndim - 1))
-        errors = _max_abs_errors(x, exact)
-        extrapolated = _max_abs_errors(
-            _pair_extrapolant(t[:-1], x[:-1], t[1:], x[1:]), exact)
-
-    clean = [k for k in usable if not flags[k]]
-    pick = clean if len(clean) >= 2 else usable
+    clean = [k for k in points if not flags[k]]
+    pick = clean if len(clean) >= 2 else points
     if len(pick) >= 2:
         a, b = pick[-2], pick[-1]
-        estimate = _pair_extrapolant(ts[a], values[a], ts[b], values[b])
+        estimate = _pair_extrapolant(ts[a], x[a], ts[b], x[b])
     else:
-        estimate = values[pick[-1]]
+        estimate = x[pick[-1]]
 
     # every field holds the report's invariants by construction, so
     # __post_init__ does not check them again
@@ -538,11 +532,6 @@ def _summarize(ts, values, flags, exact):
         flagged=tuple(flags),
     )
     return estimate, report
-
-
-def _max_abs_errors(x: np.ndarray, exact) -> list[float]:
-    """Largest ``|x[k] - exact|`` of each point k of the stack ``x``."""
-    return np.abs(x - exact).max(axis=tuple(range(1, x.ndim))).tolist()
 
 
 def _raise_lstsq_failure(err, flag):

@@ -28,8 +28,7 @@ from .densela import (SINGULARITY_RTOL, Matrix, _bidiagonal_inverse,
                       _check_integer, _check_positive, _check_rates,
                       _require_finite)
 from .errors import ConfigError, NonFiniteError
-from .minorlimit import (ConvergenceReport, _validate_schedule,
-                         default_schedule)
+from .minorlimit import ConvergenceReport, default_schedule
 from .ngm import (NGMPair, _with_inverse, r0_removal_limit,
                   remove_compartment)
 
@@ -300,10 +299,10 @@ def relapse_limit_experiment(
     the limit against the closed-form r0 of the reduced system, then
     removes the compartment and repeats down to ``k_final`` stages
     (default ``j - 1``, a single step). Requires j >= 2: removal must
-    leave at least one species-1 stage. A given ``schedule`` is checked
-    once, after the pair is built, and serves every step; without one,
-    each step takes :func:`~ngmlimit.minorlimit.default_schedule` of its
-    pair's V.
+    leave at least one species-1 stage. A given ``schedule`` serves every
+    step, and each step's :func:`~ngmlimit.ngm.r0_removal_limit` checks
+    it, after that step's closed-form target; without one, each step
+    takes :func:`~ngmlimit.minorlimit.default_schedule` of its pair's V.
     """
     _check_integer("j", j)
     if j < 2:
@@ -319,7 +318,7 @@ def relapse_limit_experiment(
                              vec, j, j)
     # a tuple, so that a one-shot iterable serves every step
     if schedule is not None:
-        schedule = _validate_schedule(schedule)
+        schedule = tuple(schedule)
     steps = []
     for stage in range(j, k_final, -1):
         target = r0_coupled_closed(host1, host2, vec, stage - 1, j).value

@@ -72,16 +72,16 @@ def random_square(rng: np.random.Generator, n: int) -> Matrix:
     return Matrix._wrap(rng.uniform(-1.0, 1.0, (n, n)))
 
 
-def random_matrices(rng: np.random.Generator, count: int,
-                    n_low: int = 2, n_high: int = 6) -> list[Matrix]:
-    return [random_square(rng, int(rng.integers(n_low, n_high + 1)))
-            for _ in range(count)]
+def random_matrices(rng: np.random.Generator) -> list[Matrix]:
+    """200 random squares of orders 2 to 6."""
+    return [random_square(rng, int(rng.integers(2, 7)))
+            for _ in range(200)]
 
 
-def limit_corpus(rng: np.random.Generator, count: int = 200):
+def limit_corpus(rng: np.random.Generator):
     """(matrix, i, exact minor inverse) rays with usable conditioning."""
     cases = []
-    for m in random_matrices(rng, count):
+    for m in random_matrices(rng):
         for i in range(1, m.rows + 1):
             try:
                 exact = exact_minor_inverse(DiagonalRay(m, i))
@@ -139,15 +139,14 @@ def random_relapse_pair(rng: np.random.Generator) -> tuple[NGMPair, float]:
 # ---------------------------------------------------------------------------
 # acceptance checks
 
-def check_affine_determinant(seed: int = 42,
-                             count: int = 200) -> CriterionResult:
+def check_affine_determinant(seed: int = 42) -> CriterionResult:
     """det A(t) is affine in the diagonal entry with the minor's slope."""
     rng = np.random.default_rng(seed)
     worst = 0.0
     worst_slope = 0.0
     cases = 0
     checked = (-10.0, 0.0, 7.0, 1.0e3)
-    for m in random_matrices(rng, count):
+    for m in random_matrices(rng):
         for i in range(1, m.rows + 1):
             cases += 1
             ray = DiagonalRay(m, i)
@@ -177,15 +176,14 @@ def check_affine_determinant(seed: int = 42,
     )
 
 
-def check_minor_inverse_limit(seed: int = 42,
-                              count: int = 200) -> CriterionResult:
+def check_minor_inverse_limit(seed: int = 42) -> CriterionResult:
     """The (i,i) minor of A(t)^-1 converges to the minor's inverse."""
     rng = np.random.default_rng(seed)
     worst_rel = 0.0
     ratios: list[float] = []
     gains: list[float] = []
     cases = 0
-    for m, i, exact in limit_corpus(rng, count):
+    for m, i, exact in limit_corpus(rng):
         cases += 1
         schedule = default_schedule(m, 2, 8)
         _, report = limit_minor_inverse(DiagonalRay(m, i), schedule)
@@ -224,12 +222,12 @@ def check_minor_inverse_limit(seed: int = 42,
     )
 
 
-def check_row_col_decay(seed: int = 42, count: int = 200) -> CriterionResult:
+def check_row_col_decay(seed: int = 42) -> CriterionResult:
     """Row i and column i of A(t)^-1 stay below a fitted C/t envelope."""
     rng = np.random.default_rng(seed)
     worst = 0.0  # max of observed * t / (2 C); <= 1 passes
     cases = 0
-    for m, i, _exact in limit_corpus(rng, count):
+    for m, i, _exact in limit_corpus(rng):
         cases += 1
         ts = (100.0 * inf_norm(m),) + default_schedule(m, 3, 8)
         (row0, col0), *later = _row_col_maxima(DiagonalRay(m, i), ts)
@@ -249,14 +247,13 @@ def check_row_col_decay(seed: int = 42, count: int = 200) -> CriterionResult:
     )
 
 
-def check_spectral_radius_limit(seed: int = 42,
-                                count: int = 100) -> CriterionResult:
+def check_spectral_radius_limit(seed: int = 42) -> CriterionResult:
     """rho(F V(t)^-1) converges to the reduced product's radius."""
     rng = np.random.default_rng(seed)
     worst = 0.0
     worst_spectrum = 0.0
     cases = 0
-    for _ in range(count):
+    for _ in range(100):
         n = int(rng.integers(2, 8))
         pair = random_mmatrix_pair(rng, n)
         i = int(rng.integers(1, n + 1))
@@ -291,13 +288,12 @@ def check_spectral_radius_limit(seed: int = 42,
     )
 
 
-def check_uncoupled_closed_form(seed: int = 42,
-                                draws: int = 500) -> CriterionResult:
+def check_uncoupled_closed_form(seed: int = 42) -> CriterionResult:
     """Built single-chain pairs reproduce the closed-form r0."""
     rng = np.random.default_rng(seed)
     worst = 0.0
     cases = 0
-    for _ in range(draws):
+    for _ in range(500):
         host = random_host(rng, 6)
         vec = random_vector(rng, f=float(rng.uniform(0.1, 3.0)))
         for j in range(1, 7):
@@ -318,7 +314,7 @@ def check_uncoupled_closed_form(seed: int = 42,
     )
 
 
-def check_coupling_identities(seed: int = 42, draws: int = 100,
+def check_coupling_identities(seed: int = 42,
                               builder_fault: float = 0.0) -> CriterionResult:
     """Coupled r0 combines the two chains' values in quadrature.
 
@@ -329,7 +325,7 @@ def check_coupling_identities(seed: int = 42, draws: int = 100,
     worst_equal = 0.0
     worst_mixed = 0.0
     cases = 0
-    for draw in range(draws):
+    for draw in range(100):
         vec = random_vector(rng, f=float(rng.uniform(0.1, 3.0)))
         if draw % 2 == 0:
             j = k = int(rng.integers(1, 6))
@@ -363,8 +359,7 @@ def check_coupling_identities(seed: int = 42, draws: int = 100,
     )
 
 
-def check_removal_limit_chain(seed: int = 42,
-                              draws_per_j: int = 5) -> CriterionResult:
+def check_removal_limit_chain(seed: int = 42) -> CriterionResult:
     """Iterated stage removal via limits reproduces every closed form."""
     rng = np.random.default_rng(seed)
     worst_ext = 0.0
@@ -373,7 +368,7 @@ def check_removal_limit_chain(seed: int = 42,
     worst_target_gap = 0.0
     cases = 0
     for j in range(2, 5):
-        for _ in range(draws_per_j):
+        for _ in range(5):
             vec = random_vector(rng, f=float(rng.uniform(0.1, 3.0)))
             host1, host2 = random_host(rng, j), random_host(rng, j)
             steps = relapse_limit_experiment(host1, host2, vec, j,
@@ -408,14 +403,13 @@ def check_removal_limit_chain(seed: int = 42,
     )
 
 
-def check_threshold_consistency(seed: int = 42,
-                                draws: int = 200) -> CriterionResult:
+def check_threshold_consistency(seed: int = 42) -> CriterionResult:
     """sign(r0 - 1) matches the DFE linearization on relapse models."""
     rng = np.random.default_rng(seed)
     inconsistent = 0
     r0_low, r0_high = math.inf, 0.0
     cases = 0
-    for _ in range(draws):
+    for _ in range(200):
         pair, _target = random_relapse_pair(rng)
         report = dfe_threshold_check(pair)
         cases += 1

@@ -107,6 +107,23 @@ def test_report_validation():
                           (False, False))
 
 
+def test_report_stores_tuples_of_any_sequences():
+    # lists made a report that compared unequal to the tuple one and
+    # could not be hashed
+    given = ConvergenceReport([1.0, 2.0], [0.1, 0.05], [0.0], None,
+                              [False, False])
+    tuples = ConvergenceReport((1.0, 2.0), (0.1, 0.05), (0.0,), None,
+                               (False, False))
+    assert given == tuples and hash(given) == hash(tuples)
+    assert vars(given) == vars(tuples)
+    assert all(type(getattr(given, name)) is tuple for name in
+               ("schedule", "errors", "extrapolated_errors", "flagged"))
+    ints = ConvergenceReport(iter([1, 2]), (0.1, 0.05), (0.0,), None,
+                             (False, False))
+    assert ints.schedule == (1.0, 2.0)
+    assert all(type(t) is float for t in ints.schedule)
+
+
 def test_default_schedule_decades():
     sched = default_schedule(identity(3))
     assert sched == tuple(10.0 ** k for k in range(1, 9))
@@ -155,10 +172,13 @@ def test_summary_errors_equal_the_per_point_loop():
     ]
     for values, exact in cases:
         for skipped in ((), (0,), (3, 4), (11,), (1, 5, 6, 10)):
-            points = [None if k in skipped else v
-                      for k, v in enumerate(values)]
-            flags = [v is None for v in points]
-            _, report = _summarize(ts, points, flags, exact)
+            usable = [k not in skipped for k in range(len(ts))]
+            points = [v if ok else None for v, ok in zip(values, usable)]
+            # a skipped point is NaN, as the callers' stacks leave it
+            x = np.array([v if ok else np.full(np.shape(v), math.nan)
+                          for v, ok in zip(values, usable)])
+            flags = [not ok for ok in usable]
+            _, report = _summarize(ts, x, usable, flags, exact)
             errors, extrapolated = loop_summary_errors(ts, points, exact)
             assert [e.hex() for e in report.errors] == \
                 [e.hex() for e in errors]
@@ -166,7 +186,11 @@ def test_summary_errors_equal_the_per_point_loop():
                 [e.hex() for e in extrapolated]
             assert all(type(e) is float for e in
                        report.errors + report.extrapolated_errors)
-    _, single = _summarize((5.0,), [0.5], [False], 0.25)
+            assert [math.isnan(e) for e in report.errors] == flags
+            assert all(math.isnan(report.extrapolated_errors[k])
+                       for k in range(len(ts) - 1)
+                       if k in skipped or k + 1 in skipped)
+    _, single = _summarize((5.0,), np.array([0.5]), [True], [False], 0.25)
     assert single.errors == (0.25,) and single.extrapolated_errors == ()
 
 

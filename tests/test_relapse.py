@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ngmlimit import eigen, ngm, relapse
+from ngmlimit import eigen, minorlimit, ngm, relapse
 from ngmlimit.densela import Matrix, inverse, matmul
 from ngmlimit.errors import ConfigError, NonFiniteError, SingularMatrixError
 from ngmlimit.eigen import spectral_abscissa, spectral_radius
@@ -576,8 +576,8 @@ def test_experiment_accepts_explicit_schedule():
 
 
 def test_experiment_takes_a_one_shot_schedule():
-    # the schedule is checked once, into a tuple that every step reads,
-    # so a generator serves a ladder of three steps as a tuple does
+    # the schedule is read once, into a tuple that every step checks and
+    # reads, so a generator serves a ladder of three steps as a tuple does
     rng = np.random.default_rng(65)
     host1, host2 = random_host(rng, 4), random_host(rng, 4)
     vec = random_vector(rng)
@@ -596,6 +596,41 @@ def test_experiment_takes_a_one_shot_schedule():
     with pytest.raises(ConfigError, match="^schedule: must be nonempty$"):
         relapse_limit_experiment(host1, host2, vec, 4, schedule=iter(()),
                                  k_final=1)
+
+
+def test_experiment_names_a_non_positive_schedule_entry():
+    rng = np.random.default_rng(66)
+    host1, host2 = random_host(rng, 3), random_host(rng, 3)
+    vec = random_vector(rng)
+    with pytest.raises(ConfigError, match=r"^schedule\[2\]: must be "
+                                          r"positive and finite, got 0\.0$"):
+        relapse_limit_experiment(host1, host2, vec, 3,
+                                 schedule=(10.0, 100.0, 0.0), k_final=1)
+
+
+@pytest.mark.parametrize("schedule", [None, (1e2, 1e3, 1e4, 1e5)])
+def test_experiment_checks_the_schedule_once_per_step(monkeypatch,
+                                                      schedule):
+    calls = []
+    check = minorlimit._validate_schedule
+
+    def counted(ts):
+        calls.append(ts)
+        return check(ts)
+
+    monkeypatch.setattr(minorlimit, "_validate_schedule", counted)
+    # a check the experiment made under its own name would count too
+    monkeypatch.setattr(relapse, "_validate_schedule", counted,
+                        raising=False)
+    rng = np.random.default_rng(67)
+    host1, host2 = random_host(rng, 4), random_host(rng, 4)
+    vec = random_vector(rng)
+    steps = relapse_limit_experiment(host1, host2, vec, 4,
+                                     schedule=schedule, k_final=1)
+    assert len(steps) == 3
+    assert len(calls) == 3
+    if schedule is not None:
+        assert all(ts == schedule for ts in calls)
 
 
 def test_experiment_k_final_bounds():
