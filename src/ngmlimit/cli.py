@@ -83,8 +83,11 @@ def _csv_cell(x) -> str:
 
 def _emit(text: str, out: "str | None") -> None:
     if out:
-        with open(out, "w", encoding="utf-8") as handle:
-            handle.write(text + "\n")
+        try:
+            with open(out, "w", encoding="utf-8") as handle:
+                handle.write(text + "\n")
+        except OSError as exc:
+            raise ConfigError("out", f"cannot write {out}: {exc}") from None
     else:
         click.echo(text)
 
@@ -255,7 +258,8 @@ def verify(seed, out, inject_fault):
         # keyed in CriterionResult's field order
         "criteria": [asdict(r) for r in results],
     }
-    _emit(render_json(report), out)
+    with _error_exits():
+        _emit(render_json(report), out)
     sys.exit(0 if report["all_passed"] else EXIT_PROPERTY_FAILURE)
 
 

@@ -62,14 +62,14 @@ class NGMPair:
     non-M-matrix V triggers an MMatrixWarning. ``V_inv`` keeps the
     inverse of V computed by that check; it is not a constructor
     argument and takes no part in ``repr`` or equality.
-    :func:`remove_compartment` presets it, deleted from the larger pair's
-    where that is exact, through :func:`_with_inverse`, and so do the
-    relapse builders, with ``inverse(V)`` formed without its triage. V is
-    factored unless a ``V_inv`` is found in place with no entry below
-    ``-MMATRIX_TOL``, so a warning is always decided on a factored
-    inverse. The spectral radius of ``F V^-1`` is kept too, outside
-    ``repr`` and equality, once it is taken; a product that overflows is
-    not kept, so it raises again.
+    :func:`remove_compartment` sets it, deleted from the larger pair's
+    where that is exact, and runs only the sign test below on it; the
+    relapse builders preset it through :func:`_with_inverse`, with
+    ``inverse(V)`` formed without its triage. V is factored unless a
+    ``V_inv`` is found in place with no entry below ``-MMATRIX_TOL``, so a
+    warning is always decided on a factored inverse. The spectral radius
+    of ``F V^-1`` is kept too, outside ``repr`` and equality, once it is
+    taken; a product that overflows is not kept, so it raises again.
     """
 
     F: Matrix
@@ -154,14 +154,25 @@ def remove_compartment(pair: NGMPair, i: int) -> NGMPair:
 
     The new pair's ``V_inv`` is ``pair.V_inv`` less row and column i where
     that is exact (``minorlimit._minor_inverse_by_deletion``) and factored
-    elsewhere; a singular minor raises SingularMatrixError.
+    elsewhere; a singular minor raises SingularMatrixError. The minors of
+    a checked pair are square, match their labels and keep F nonnegative,
+    so of ``__post_init__`` only the M-matrix test is run: where the
+    deletion gives a ``V_inv`` with no entry below ``-MMATRIX_TOL``, the
+    pair is set up without ``__post_init__``, equal to the one
+    :func:`_with_inverse` makes; elsewhere it goes through
+    :func:`_with_inverse`, which factors V and decides the warning.
     """
     if pair.dim < 2:
         raise ValueError("cannot remove the only compartment")
     _check_index("i", i, pair.dim)
+    F, V = minor(pair.F, i, i), minor(pair.V, i, i)
+    labels = pair.labels[:i - 1] + pair.labels[i:]
     v_inv = _minor_inverse_by_deletion(DiagonalRay(pair.V, i), pair.V_inv)
-    return _with_inverse(minor(pair.F, i, i), minor(pair.V, i, i),
-                         pair.labels[:i - 1] + pair.labels[i:], v_inv)
+    if v_inv is None or (v_inv._a < -MMATRIX_TOL).any():
+        return _with_inverse(F, V, labels, v_inv)
+    removed = object.__new__(NGMPair)
+    vars(removed).update(V_inv=v_inv, F=F, V=V, labels=labels)
+    return removed
 
 
 def _threshold_sign(x: float) -> int:

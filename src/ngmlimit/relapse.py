@@ -153,8 +153,8 @@ def _r0_closed(hosts: Sequence[HostParams], vec: VectorParams) -> R0Result:
     for host in hosts:
         total = 0.0
         running = 1.0
-        for l in range(1, host.stages + 1):
-            running *= host.alpha[l - 1] / (host.alpha[l] + host.mu[l - 1])
+        for upstream, alpha, mu in zip(host.alpha, host.alpha[1:], host.mu):
+            running *= upstream / (alpha + mu)
             total += running
         denominator = vec.mu_tilde * host.s_bar
         prefactor = (host.c * vec.c_v * vec.s_v_bar / denominator
@@ -168,6 +168,21 @@ def _r0_closed(hosts: Sequence[HostParams], vec: VectorParams) -> R0Result:
         raise NonFiniteError(f"closed-form r0 {value!r} is not a positive "
                              f"finite float")
     return R0Result(value)
+
+
+_kept_labels: dict[str, tuple[str, ...]] = {}
+
+
+def _stage_labels(prefix: str, j: int) -> tuple[str, ...]:
+    """``prefix`` + 1..j, sliced from one tuple kept per prefix at the
+    longest chain met so far; a longer chain replaces it, so tuples
+    handed out before stay as they were. Formatting them is a sizeable
+    share of a small build."""
+    kept = _kept_labels.get(prefix, ())
+    if len(kept) < j:
+        kept = _kept_labels[prefix] = tuple(
+            f"{prefix}{l}" for l in range(1, j + 1))
+    return kept[:j]
 
 
 def _build_ngm(hosts: Sequence[HostParams], vec: VectorParams) -> NGMPair:
@@ -196,7 +211,7 @@ def _build_ngm(hosts: Sequence[HostParams], vec: VectorParams) -> NGMPair:
         f[start, n - 1] = vec.f * host.c * host.alpha[0]
         f[n - 1, start:start + j] = vec.f * vec.c_v * vec.s_v_bar / host.s_bar
         prefix = "I" if len(hosts) == 1 else f"I{species}."
-        labels += [f"{prefix}{l}" for l in range(1, j + 1)]
+        labels += _stage_labels(prefix, j)
         start += j
     diagonal.append(vec.mu_tilde)
     lower.append(0.0)

@@ -176,6 +176,23 @@ def test_r0_reads_config_file(tmp_path):
     assert json.loads(out.read_text())["closed_form"] == 1.0
 
 
+@pytest.mark.parametrize("args, cfg", [
+    (["r0", "--config", "-"], UNIT_UNCOUPLED),
+    (["sweep", "--config", "-"], WORKED_SWEEP),
+    (["ngm", "--config", "-"], UNIT_UNCOUPLED),
+    (["verify", "--seed", "0"], None),
+], ids=["r0", "sweep", "ngm", "verify"])
+def test_unwritable_out_exits_2_naming_out(args, cfg, tmp_path, monkeypatch):
+    # the property suite is not what is tested here; an empty one passes
+    monkeypatch.setattr(cli, "run_all", lambda seed, builder_fault: [])
+    out = tmp_path / "missing" / "out.json"
+    result = invoke(args + ["--out", str(out)], stdin=json.dumps(cfg))
+    assert result.exit_code == 2
+    assert result.stderr.startswith(f"config error: out: cannot write {out}")
+    assert "Traceback" not in result.output
+    assert not out.parent.exists()
+
+
 # ---------------------------------------------------------------------------
 # sweep
 

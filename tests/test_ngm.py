@@ -644,6 +644,55 @@ def test_removal_step_at_ladder_sizes_is_the_factored_one_bit_for_bit(
     assert reduced.labels == pair.labels[:i - 1] + pair.labels[i:]
 
 
+def test_removed_pair_equals_the_checked_one():
+    # remove_compartment runs only the M-matrix test of __post_init__; its
+    # pair equals the one _with_inverse builds, which runs every check,
+    # attribute for attribute and byte for byte
+    rng = np.random.default_rng(25)
+    for j in range(2, 41):
+        pair = build_coupled_ngm(random_host(rng, j), random_host(rng, j),
+                                 random_vector(rng), j, j)
+        for i in (j, 2 * j):
+            got = vars(remove_compartment(pair, i))
+            v_inv = _minor_inverse_by_deletion(DiagonalRay(pair.V, i),
+                                               pair.V_inv)
+            expected = vars(ngm._with_inverse(
+                minor(pair.F, i, i), minor(pair.V, i, i),
+                pair.labels[:i - 1] + pair.labels[i:], v_inv))
+            assert got.keys() == expected.keys() == {"F", "V", "labels",
+                                                     "V_inv"}
+            assert got["labels"] == expected["labels"]
+            assert all(type(label) is str for label in got["labels"])
+            for key in ("F", "V", "V_inv"):
+                a, b = got[key]._a, expected[key]._a
+                assert a.shape == b.shape and a.tobytes() == b.tobytes()
+                assert a.flags.c_contiguous and not a.flags.writeable
+
+
+def test_dense_removal_with_a_negative_deletion_is_refactored(monkeypatch):
+    # Column 3 of V^-1 is zero off the diagonal, so deleting row and
+    # column 3 is exact, but the kept block holds a negative entry: the
+    # minor is factored anew and warns
+    v_inv = Matrix([[2.0, -0.5, 0.0], [0.3, 1.5, 0.0], [0.4, 0.6, 1.0]])
+    with pytest.warns(MMatrixWarning):
+        pair = NGMPair(Matrix([[0.1, 0.2, 0.3]] * 3), inverse(v_inv),
+                       ("a", "b", "c"))
+    deleted = _minor_inverse_by_deletion(DiagonalRay(pair.V, 3), pair.V_inv)
+    assert deleted is not None and (deleted._a < -MMATRIX_TOL).any()
+    calls = []
+
+    def counting_inverse(m):
+        calls.append(m)
+        return inverse(m)
+
+    monkeypatch.setattr(ngm, "inverse", counting_inverse)
+    with pytest.warns(MMatrixWarning):
+        reduced = remove_compartment(pair, 3)
+    assert calls == [reduced.V] == [minor(pair.V, 3, 3)]
+    assert reduced.V_inv._a.tobytes() == inverse(reduced.V)._a.tobytes()
+    assert reduced.labels == ("a", "b")
+
+
 def test_pair_still_takes_no_inverse_argument():
     with pytest.raises(TypeError):
         NGMPair(identity(2), identity(2), ("a", "b"), V_inv=identity(2))

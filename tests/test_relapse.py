@@ -194,6 +194,47 @@ def test_coupled_builder_labels_and_order():
     assert pair.labels == ("I1.1", "I1.2", "I2.1", "I2.2", "I2.3", "Iv")
 
 
+def stage_labels(prefix, j):
+    return tuple(prefix + str(l) for l in range(1, j + 1))
+
+
+# the labels of chains of 1 and 6 stages, alone, beside 2 stages, and
+# third after chains of 1 and 2 stages
+LITERAL_LABELS = {
+    (1,): ("I1", "Iv"),
+    (1, 2): ("I1.1", "I2.1", "I2.2", "Iv"),
+    (1, 2, 1): ("I1.1", "I2.1", "I2.2", "I3.1", "Iv"),
+    (6,): ("I1", "I2", "I3", "I4", "I5", "I6", "Iv"),
+    (6, 2): ("I1.1", "I1.2", "I1.3", "I1.4", "I1.5", "I1.6", "I2.1",
+             "I2.2", "Iv"),
+    (1, 2, 6): ("I1.1", "I2.1", "I2.2", "I3.1", "I3.2", "I3.3", "I3.4",
+                "I3.5", "I3.6", "Iv"),
+}
+
+
+@pytest.mark.parametrize("order", [(40, 1, 6), (6, 1, 40), (1, 40, 6)],
+                         ids=["long-first", "reverse", "shuffled"])
+def test_builder_labels_do_not_depend_on_build_order(order, monkeypatch):
+    # the builder slices its labels from tuples kept at the longest chain
+    # met so far; start from none kept, as a fresh process does
+    monkeypatch.setattr(relapse, "_kept_labels", {})
+    rng = np.random.default_rng(58)
+    vec = random_vector(rng)
+    for j in order:
+        for stages in [(j,), (j, 2), (1, 2, j)]:
+            pair = relapse._build_ngm(
+                [random_host(rng, k) for k in stages], vec)
+            if len(stages) == 1:
+                expected = stage_labels("I", j)
+            else:
+                expected = sum((stage_labels(f"I{s}.", k)
+                                for s, k in enumerate(stages, 1)), ())
+            assert pair.labels == expected + ("Iv",)
+            assert all(type(label) is str for label in pair.labels)
+            if stages in LITERAL_LABELS:
+                assert pair.labels == LITERAL_LABELS[stages]
+
+
 def test_coupled_decouples_when_second_host_is_inert():
     rng = np.random.default_rng(51)
     host1, vec = random_host(rng, 2), random_vector(rng)
