@@ -259,7 +259,15 @@ def _drop(a: np.ndarray, r: "int | None",
           k: "int | None" = None) -> np.ndarray:
     """A copy of ``a`` less its row r and its column k (0-based; None
     keeps them all; a 1-D ``a`` loses entry r): ``np.delete``'s values,
-    from slices, without its per-call overhead."""
+    from slices, without its per-call overhead. With both given, ``a`` is
+    2-D, and its four blocks are copied into one new array."""
+    if r is not None and k is not None:
+        out = np.empty((len(a) - 1, a.shape[1] - 1), a.dtype)
+        out[:r, :k] = a[:r, :k]
+        out[:r, k:] = a[:r, k + 1:]
+        out[r:, :k] = a[r + 1:, :k]
+        out[r:, k:] = a[r + 1:, k + 1:]
+        return out
     if r is not None:
         a = np.concatenate((a[:r], a[r + 1:]))
     if k is not None:

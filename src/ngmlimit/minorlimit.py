@@ -19,13 +19,10 @@ fitted decay rate.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from numpy.exceptions import RankWarning
-from numpy.linalg._umath_linalg import lstsq as _gelsd
 
 from .densela import (_SMALLEST_POSITIVE, SINGULARITY_RTOL, Matrix,
                       _bidiagonal_inverse, _check_index, _check_integer,
@@ -114,7 +111,7 @@ class ConvergenceReport:
             NaN where either endpoint was skipped.
         fitted_rate: Exponent p from a least-squares fit of
             ``error ~ C / t**p`` over clean points, or None when fewer
-            than three usable points remain.
+            than three usable points remain or all share one log t.
         flagged: True where the point was skipped or its inversion
             tripped the conditioning guard.
     """
@@ -357,10 +354,16 @@ def spectral_limit(
 
 def _spectral_limit(f: Matrix, v_ray: DiagonalRay, minor_inverse: Matrix,
                     schedule: "Sequence[float] | None",
-                    target: "float | None") -> tuple[float, ConvergenceReport]:
+                    target: "float | None",
+                    base_inverse: "Matrix | None" = None,
+                    ) -> tuple[float, ConvergenceReport]:
     """:func:`spectral_limit`, given the inverse of the ray's (i, i) minor,
     from which the target comes when none is given. A given target is a
-    spectral radius: a finite real number, at least zero."""
+    spectral radius: a finite real number, at least zero.
+    ``base_inverse``, where given, is the inverse of the ray's base, of
+    which ``minor_inverse`` is the exact deletion
+    (:func:`_minor_inverse_by_deletion`); a last-stage schedule then reads
+    its rows from it (:func:`_last_stage_schedule`)."""
     if target is None:
         target = spectral_radius(
             matmul(minor(f, v_ray.i, v_ray.i), minor_inverse))
@@ -374,7 +377,7 @@ def _spectral_limit(f: Matrix, v_ray: DiagonalRay, minor_inverse: Matrix,
     # F A(t)^-1 is zero outside F's nonzero rows R, so its nonzero
     # eigenvalues are those of its (R, R) block
     rows = np.flatnonzero(f._a.any(axis=1))
-    factored = _last_stage_schedule(v_ray, ts, minor_inverse)
+    factored = _last_stage_schedule(v_ray, ts, minor_inverse, base_inverse)
     if factored is None:
         inverses, usable, flags = _invert_schedule(v_ray, ts)
         # rebinding frees the full stack, so at most two stacks are alive
@@ -383,7 +386,8 @@ def _spectral_limit(f: Matrix, v_ray: DiagonalRay, minor_inverse: Matrix,
         products = np.matmul(f._a[rows], inverses)
     else:
         # the rows other than i are the minor's inverse bordered by
-        # zeros, which the caller has checked finite
+        # zeros, or the base's inverse's, which the caller has checked
+        # finite
         kept, last, usable, flags = factored
         _require_finite(last)
         c = v_ray.i - 1
@@ -392,7 +396,13 @@ def _spectral_limit(f: Matrix, v_ray: DiagonalRay, minor_inverse: Matrix,
         # as the full product sums it where row i holds the last nonzero
         # of each column (a chain's last stage)
         products = f_rows[:, c, None] * last[:, None]
-        products += _drop(f_rows, None, c) @ kept
+        if kept is None:
+            # F's zeroed column i meets the base's row i alone, which
+            # adds a zero to each sum
+            f_rows[:, c] = 0.0
+            products += f_rows @ base_inverse._a
+        else:
+            products += _drop(f_rows, None, c) @ kept
     _require_finite(products)
     blocks = np.ascontiguousarray(products[:, :, rows])
     radii = np.full(len(ts), math.nan)
@@ -404,7 +414,8 @@ def _spectral_limit(f: Matrix, v_ray: DiagonalRay, minor_inverse: Matrix,
 
 
 def _last_stage_schedule(ray: DiagonalRay, ts: Sequence[float],
-                         minor_inverse: Matrix):
+                         minor_inverse: Matrix,
+                         base_inverse: "Matrix | None" = None):
     """:func:`_invert_schedule` of a ray whose base is lower bidiagonal,
     with column i zero below the diagonal and no entry larger in
     magnitude than the pivot above it (a chain's last stage), without
@@ -433,6 +444,13 @@ def _last_stage_schedule(ray: DiagonalRay, ts: Sequence[float],
     last row of the leading (i x i) block's inverse, padded with +0. Every
     step runs under one errstate: a condition estimate past the float
     range is inf, which trips the guard, as the stack's does, unwarned.
+
+    Where ``base_inverse``, the base's inverse, is given, ``minor_inverse``
+    being its exact deletion, those rows are its rows other than i, and
+    no block of them is built: their largest row sum of ``|A(t)^-1|`` is
+    the largest of ``|base_inverse|``'s, row i's set to 0 (column i is
+    zero off the diagonal, so each sum adds the same values), and None is
+    returned in place of the rows.
     """
     a = ray.base._a
     c = ray.i - 1
@@ -442,15 +460,20 @@ def _last_stage_schedule(ray: DiagonalRay, ts: Sequence[float],
     # every nonzero on the diagonal or just below it, none below the
     # diagonal in column i, and, so that pivoting swaps no row, none
     # outweighing the pivot above it
-    if (np.count_nonzero(a != 0.0)
+    if (np.count_nonzero(a)
             != np.count_nonzero(magnitudes) + np.count_nonzero(drops)
             or (c < n - 1 and below[c])
             or np.count_nonzero(drops > magnitudes[:-1])):
         return None
-    m = minor_inverse._a
-    kept = np.empty((n - 1, n))
-    kept[:, :c] = m[:, :c]
-    kept[:, c + 1:] = m[:, c:]
+    if base_inverse is None:
+        m = minor_inverse._a
+        kept = np.empty((n - 1, n))
+        kept[:, :c] = m[:, :c]
+        kept[:, c + 1:] = m[:, c:]
+    else:
+        kept = None
+        kept_sums = np.abs(base_inverse._a).sum(axis=1)
+        kept_sums[c] = 0.0
     sums = magnitudes.copy()
     sums[1:] += drops
     # every row sum and |pivot| is at least zero: zeroing row i's sum
@@ -463,11 +486,13 @@ def _last_stage_schedule(ray: DiagonalRay, ts: Sequence[float],
         norms = np.maximum(sums.max(), t + drops[c - 1] if c else t)
         low = np.maximum(SINGULARITY_RTOL * norms, _SMALLEST_POSITIVE)
         usable = (t >= low) & (magnitudes.min() >= low)
-        kept[:, c] = 0.0 / _drop(pivots, c)
+        if kept is not None:
+            kept[:, c] = 0.0 / _drop(pivots, c)
+            kept_sums = np.abs(kept).sum(axis=1)
         y = np.zeros(n)
         y[:c + 1] = _bidiagonal_inverse(below[:c] / pivots[:c])[c]
         last = y / t[:, None]
-        inverse_norms = np.maximum(np.abs(kept).sum(axis=1).max(),
+        inverse_norms = np.maximum(kept_sums.max(),
                                    np.abs(last).sum(axis=1))
         flags = ~usable | (norms * inverse_norms > CONDITION_GUARD)
     return kept, last[usable], usable.tolist(), flags.tolist()
@@ -534,18 +559,11 @@ def _summarize(ts, x, usable, flags, exact):
     return estimate, report
 
 
-def _raise_lstsq_failure(err, flag):
-    raise np.linalg.LinAlgError(
-        "SVD did not converge in Linear Least Squares")
-
-
 def _fit_rate(ts, errors, flags) -> "float | None":
-    """Minus the slope of ``np.polyfit(log t, log e, 1)`` over the clean
-    points, bit for bit, with NumPy's LAPACK least-squares gufunc called
-    directly. As polyfit does: the Vandermonde columns ``[log t, 1]``
-    scaled to unit 2-norm, ``rcond`` of ``len * eps``, the slope divided
-    by its column's scale, RankWarning on a rank below 2, and the
-    wrapper's errstate, which turns a failed SVD into its LinAlgError.
+    """Minus the least-squares slope of ``log e`` against ``log t`` over
+    the clean points: ``-sum(dx dy) / sum(dx^2)``, dx and dy taken from
+    the means, each sum a ``math.fsum``. None below three points, or where
+    every clean ``log t`` is the same, so that the slope is undefined.
     The logarithms are ``math.log``'s: ``np.log`` may differ in the last
     bit.
     """
@@ -555,18 +573,12 @@ def _fit_rate(ts, errors, flags) -> "float | None":
         if not flagged and 0.0 < e < math.inf:
             log_t.append(math.log(t))
             log_e.append(math.log(e))
-    if len(log_t) < _MIN_FIT_POINTS:
+    if len(log_t) < _MIN_FIT_POINTS or min(log_t) == max(log_t):
         return None
-    lhs = np.empty((len(log_t), 2))
-    lhs[:, 0] = log_t
-    lhs[:, 1] = 1.0
-    scale = np.sqrt((lhs * lhs).sum(axis=0))
-    lhs /= scale
-    with np.errstate(call=_raise_lstsq_failure, invalid="call",
-                     over="ignore", divide="ignore", under="ignore"):
-        solution, _, rank, _ = _gelsd(lhs, np.array(log_e)[:, None],
-                                      len(log_t) * _EPS,
-                                      signature="ddd->ddid")
-    if rank != 2:
-        warnings.warn("Polyfit may be poorly conditioned", RankWarning)
-    return float(-(solution[0, 0] / scale[0]))
+    mean_t = math.fsum(log_t) / len(log_t)
+    mean_e = math.fsum(log_e) / len(log_e)
+    dx = [x - mean_t for x in log_t]
+    # distinct logs leave a nonzero dx, and its square does not underflow:
+    # the log of a double is 0 or at least 1.1e-16 in magnitude
+    return -(math.fsum([d * (y - mean_e) for d, y in zip(dx, log_e)])
+             / math.fsum([d * d for d in dx]))

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from ngmlimit import densela
 from ngmlimit.densela import (SINGULARITY_RTOL, Matrix, _below,
-                              _bidiagonal_inverse, _determinant_stack,
+                              _bidiagonal_inverse, _drop, _determinant_stack,
                               _inverse_stack, determinant, identity,
                               inf_norm, inverse, matmul, minor, set_entry)
 from ngmlimit.errors import ConfigError, SingularMatrixError
@@ -869,3 +869,30 @@ def test_set_entry_round_trip_restores_exactly(value, i, j):
     mutated = set_entry(a, i, j, value)
     assert mutated.entry(i, j) == value
     assert set_entry(mutated, i, j, old) == a
+
+
+def concatenate_drop(a, r, k=None):
+    """``_drop`` as two ``np.concatenate`` calls, row then column."""
+    if r is not None:
+        a = np.concatenate((a[:r], a[r + 1:]))
+    if k is not None:
+        a = np.concatenate((a[:, :k], a[:, k + 1:]), axis=1)
+    return a
+
+
+def test_drop_is_the_concatenate_reference_bit_for_bit():
+    rng = np.random.default_rng(26)
+    for n in range(2, 8):
+        a = rng.uniform(-1.0, 1.0, (n, n))
+        a[rng.random((n, n)) < 0.2] = -0.0
+        for r in (None, *range(n)):
+            for k in (None, *range(n)):
+                got = _drop(a, r, k)
+                expected = concatenate_drop(a, r, k)
+                assert got.shape == expected.shape
+                assert got.tobytes() == expected.tobytes()
+                assert got.flags.c_contiguous
+                if (r, k) != (None, None):
+                    assert not np.shares_memory(got, a)
+        for r in range(n):
+            assert _drop(a[0], r).tobytes() == np.delete(a[0], r).tobytes()

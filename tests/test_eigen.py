@@ -1,4 +1,6 @@
+import ast
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -172,6 +174,27 @@ def test_kernel_equals_public_eigvals_bit_for_bit():
     assert eigen._eigvals(stack + stack.transpose(0, 2, 1)).dtype.kind == "f"
     for value in (-0.0, 0.0, 2.5, -1e-300):
         assert_kernel_is_public_eigvals(np.array([[value]]))
+
+
+def test_only_eigen_imports_from_numpy_private_modules():
+    # a private NumPy name can move in any release; eigen's geev gufunc,
+    # guarded by the test above, is the one the package may use
+    allowed = {("eigen", "numpy.linalg._umath_linalg", "eigvals")}
+    found = set()
+    for path in sorted(Path(eigen.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and not node.level:
+                imports = [(node.module, alias.name) for alias in node.names]
+            elif isinstance(node, ast.Import):
+                imports = [(alias.name, "") for alias in node.names]
+            else:
+                continue
+            for module, name in imports:
+                parts = module.split(".") + [name]
+                if parts[0] == "numpy" and any(
+                        part.startswith("_") for part in parts):
+                    found.add((path.stem, module, name))
+    assert found == allowed
 
 
 def assert_lapack_pairs_are_adjacent(a: np.ndarray):

@@ -436,6 +436,36 @@ def test_removal_at_every_stage_is_the_factored_one_bit_for_bit(j):
         assert report_hex(r0_removal_limit(pair, i)) == report_hex(expected)
 
 
+@pytest.mark.parametrize("seed", range(4))
+def test_removal_on_a_dense_f_reads_v_inv_bit_for_bit(seed):
+    # Two chains, stages 1-2 and 3-5, one ending in a small pivot, and an
+    # F with no zero entry, so that every row and column of F enters the
+    # block of F V(t)^-1 whose radius is taken. At a chain's last stage
+    # column i of V^-1 is zero off the diagonal: the removal limit reads
+    # its rows from V^-1 itself, and must equal spectral_limit's, which
+    # builds them from the factored minor. Row i of V^-1 holds 1/pivot,
+    # so its row sum, not zeroed, would flag the last points; F's column
+    # i, not zeroed, would add row i of V^-1 to every product.
+    rng = np.random.default_rng(seed)
+    f = Matrix(rng.uniform(0.1, 1.0, (5, 5)).tolist())
+    below = -rng.uniform(0.1, 1.0, 4)
+    below[1] = 0.0
+    for i in (2, 5):
+        pivots = rng.uniform(1.0, 2.0, 5)
+        pivots[i - 1] = 1e-6
+        v = Matrix((np.diag(pivots) + np.diag(below, -1)).tolist())
+        pair = NGMPair(f, v, tuple("abcde"))
+        ray = DiagonalRay(pair.V, i)
+        minor_inverse = _minor_inverse_by_deletion(ray, pair.V_inv)
+        assert minor_inverse is not None
+        assert minorlimit._last_stage_schedule(
+            ray, (1.0,), minor_inverse, pair.V_inv) is not None
+        assert np.abs(pair.V_inv.to_numpy()[i - 1]).sum() >= 1e6
+        _, expected = spectral_limit(pair.F, ray)
+        assert not any(expected.flagged)
+        assert report_hex(r0_removal_limit(pair, i)) == report_hex(expected)
+
+
 def test_dense_minor_inverse_is_factored(monkeypatch):
     # an irreducible M-matrix has a positive inverse, so no row or column
     # of V^-1 is zero off the diagonal and every minor is factored

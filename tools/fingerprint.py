@@ -1,8 +1,12 @@
-"""Print every checked result as one keyed line, floats in hex.
+"""Print every checked result as keyed lines, floats in hex; compare two
+such prints against the keys a change declares it moves.
 
 Runs, against the ``ngmlimit`` package under ``--src``, every record that
-a change must leave bit for bit, and prints one line per record: its
-section, its key, then the record. The sections, in order:
+a change must leave bit for bit, and prints one line per field of each
+record: a key that names the record and the field, a tab, then the
+field's value. Keys are unique, and a field that holds a sequence of
+floats (a report's errors, a matrix's entries) is one line. The
+sections, in order:
 
 * the ``r0_screen`` and ``ladder_long`` op results of the pools that
   ``perfbench/workloads.py`` draws at seeds 42 and 7 (:func:`op_results`);
@@ -24,6 +28,17 @@ differ, the diff names the records that moved::
 
 ``perfbench/workloads.py`` is read from the checkout this script sits
 in, whichever ``--src`` is given, so both runs make the same ops.
+
+``--compare BASE HEAD --moves FILE`` reads two such prints and the keys a
+change declares it moves: FILE holds one glob per line, then ``#`` and
+the reason (``*`` matches any run of characters, ``?`` any one, and
+everything else itself; blank lines and lines starting with ``#`` are
+skipped). It prints the moved keys (a changed value, or a key in one
+print only) grouped by the glob that matches them, and exits 1 where a
+moved key matches no glob or a glob matches no moved key::
+
+    python tools/fingerprint.py --compare base.txt head.txt \
+        --moves tools/fingerprint-moves.txt
 """
 
 from __future__ import annotations
@@ -35,6 +50,7 @@ import hashlib
 import importlib
 import io
 import json
+import re
 import sys
 from pathlib import Path
 
@@ -120,8 +136,8 @@ def fields(name: str, value):
         raise TypeError(f"{name}: cannot fingerprint {type(value).__name__}")
 
 
-def _hexes(values) -> list[str]:
-    return [v.hex() for v in values]
+def _hexes(values) -> str:
+    return " ".join(v.hex() for v in values)
 
 
 def _pools():
@@ -133,14 +149,15 @@ def _pools():
 
 
 def op_results():
-    """Each pool op's result, every field by name, and its check."""
+    """Each pool op's check, then every field of its result by name."""
     for name, seed, workload in _pools():
         for k in range(len(workload.cases)):
+            op = f"{name} seed={seed} op={k}"
             result = workload.op(k)
-            check = "ok" if workload.check(k, result) is None else "failed"
-            yield " ".join([f"{name} seed={seed} op={k} check={check}",
-                            *(f"{key}={text}"
-                              for key, text in fields("result", result))])
+            yield (f"{op} check",
+                   "ok" if workload.check(k, result) is None else "failed")
+            for key, text in fields("result", result):
+                yield f"{op} {key}", text
 
 
 def _pool_pairs(name: str, workload):
@@ -165,18 +182,22 @@ def builder_blocks():
     for every pool pair, so a moved sign of a zero shows too."""
     for name, seed, workload in _pools():
         for k, pair in enumerate(_pool_pairs(name, workload)):
-            yield " ".join([
-                f"builder {name} seed={seed} pair={k}",
-                "labels=" + ",".join(pair.labels),
-                *(f"{block}=" + hashlib.sha256(
+            key = f"builder {name} seed={seed} pair={k}"
+            yield f"{key} labels", ",".join(pair.labels)
+            for block in ("F", "V", "V_inv"):
+                yield f"{key} {block}", hashlib.sha256(
                     getattr(pair, block).to_numpy().tobytes()).hexdigest()
-                  for block in ("F", "V", "V_inv"))])
+
+
+# a JSON member's line in an indented dump: its name
+_MEMBER = re.compile(r'\s*"([^"]*)":')
 
 
 def _stdout_lines(key: str, argv: list[str], stdin: str = ""):
     """Run ``ngmlimit ARGV``, dropping stderr; its exit code, then each
-    stdout line. The last, after the final newline, is empty, so the
-    lines joined by newlines are stdout."""
+    stdout line, keyed by its number and, on a JSON member's line, by the
+    member's name. The last line, after the final newline, is empty, so
+    the lines joined by newlines are stdout."""
     from ngmlimit import cli
     out = io.StringIO()
     saved, sys.stdin = sys.stdin, io.StringIO(stdin)
@@ -189,9 +210,11 @@ def _stdout_lines(key: str, argv: list[str], stdin: str = ""):
         code = exc.code
     finally:
         sys.stdin = saved
-    yield f"{key} exit={code}"
+    yield f"{key} exit", str(code)
     for k, line in enumerate(out.getvalue().split("\n")):
-        yield f"{key} stdout[{k}]={line}"
+        member = _MEMBER.match(line)
+        yield (f"{key} stdout[{k}]" + (f" {member[1]}" if member else ""),
+               line)
 
 
 def verify_report():
@@ -222,10 +245,14 @@ def cli_outputs():
                                  json.dumps(CONFIGS[model]))
 
 
-def _report_hex(report):
+def _report_fields(key: str, report):
+    """A ConvergenceReport's errors, extrapolated errors, fitted rate and
+    flags, one field each."""
     rate = report.fitted_rate
-    return [*_hexes(report.errors), *_hexes(report.extrapolated_errors),
-            None if rate is None else rate.hex(), *report.flagged]
+    yield f"{key}.errors", _hexes(report.errors)
+    yield f"{key}.extrapolated_errors", _hexes(report.extrapolated_errors)
+    yield f"{key}.fitted_rate", "None" if rate is None else rate.hex()
+    yield f"{key}.flagged", " ".join(map(str, report.flagged))
 
 
 def _random_hosts(rng, j: int):
@@ -246,15 +273,15 @@ def _relapse_checks(rng):
     for k in range(500):
         pair = random_relapse_pair(rng)[0]
         report = dfe_threshold_check(pair)
-        yield (f"check_first[{k}]", r0(pair).hex(), report.r0.hex(),
-               report.abscissa.hex(), report.consistent, report.critical)
-        yield (f"check_first[{k}].inverse", *_hexes(inverse(pair.V).data))
+        yield f"check_first[{k}].r0", r0(pair).hex()
+        yield from fields(f"check_first[{k}].check", report)
+        yield f"check_first[{k}].inverse", _hexes(inverse(pair.V).data)
     for k in range(500):
         pair = random_relapse_pair(rng)[0]
         value = r0(pair)
         report = dfe_threshold_check(pair)
-        yield (f"r0_first[{k}]", value.hex(), report.r0.hex(),
-               report.abscissa.hex(), report.consistent, report.critical)
+        yield f"r0_first[{k}].r0", value.hex()
+        yield from fields(f"r0_first[{k}].check", report)
 
 
 def _dense_spectra(rng):
@@ -283,14 +310,15 @@ def _dense_spectra(rng):
         dense.append(a)
     for k, a in enumerate(dense):
         m = Matrix(a.tolist())
-        yield (f"dense[{k}]", spectral_radius(m).hex(),
-               spectral_abscissa(m).hex(),
-               *(f"{v.real.hex()},{v.imag.hex()}" for v in eigenvalues(m)))
+        yield f"dense[{k}].radius", spectral_radius(m).hex()
+        yield f"dense[{k}].abscissa", spectral_abscissa(m).hex()
+        yield f"dense[{k}].eigenvalues", " ".join(
+            f"{v.real.hex()},{v.imag.hex()}" for v in eigenvalues(m))
     for n in range(1, 13):
         stack = rng.uniform(-1.0, 1.0, (9, n, n))
         stack[::3] += stack[::3].transpose(0, 2, 1)
-        yield (f"stacked[{n}]",
-               *_hexes(_max_modulus(_eigvals(stack)).tolist()))
+        yield (f"stacked[{n}].radii",
+               _hexes(_max_modulus(_eigvals(stack)).tolist()))
 
 
 def _inverses(rng):
@@ -302,16 +330,17 @@ def _inverses(rng):
     vec = VectorParams(f=1.0, c_v=1.0, s_v_bar=1.0, mu_tilde=0.7)
     for j in (10, 20, 40):
         pair = build_coupled_ngm(*_random_hosts(rng, j), vec, j, j)
-        yield (f"coupled[{j}].inverse", *_hexes(inverse(pair.V).data))
-        yield (f"coupled[{j}].V_inv", *_hexes(pair.V_inv.data))
-        yield (f"coupled[{j}].F", *_hexes(pair.F.data))
+        yield f"coupled[{j}].inverse", _hexes(inverse(pair.V).data)
+        yield f"coupled[{j}].V_inv", _hexes(pair.V_inv.data)
+        yield f"coupled[{j}].F", _hexes(pair.F.data)
     for k in range(64):
         n = 2 + k % 8
         a = rng.uniform(-1.0, 1.0, (n, n)) + 3.0 * np.eye(n)
         zeros = (np.triu_indices(n, 1) if k % 4 < 2
                  else np.tril_indices(n, -1))
         a[zeros] = -0.0 if k % 2 else 0.0
-        yield (f"triangular[{k}]", *_hexes(inverse(Matrix(a.tolist())).data))
+        yield (f"triangular[{k}].inverse",
+               _hexes(inverse(Matrix(a.tolist())).data))
 
 
 def _ladders(rng):
@@ -330,17 +359,19 @@ def _ladders(rng):
         hosts = _random_hosts(rng, j)
         steps = relapse_limit_experiment(*hosts, vec, j, k_final=1)
         for m, step in enumerate(steps):
-            yield (f"ladder[{j}].step[{m}]", step.stage, step.target.hex(),
-                   *_report_hex(step.report))
+            key = f"ladder[{j}].step[{m}]"
+            yield f"{key}.stage", str(step.stage)
+            yield f"{key}.target", step.target.hex()
+            yield from _report_fields(f"{key}.report", step.report)
         pair = build_coupled_ngm(*hosts, vec, j, j)
         for i in sorted({j // 2 + 1, j, 2 * j}):
             estimate, report = spectral_limit(pair.F, DiagonalRay(pair.V, i))
-            yield (f"ladder[{j}].limit[{i}]", i, estimate.hex(),
-                   *_report_hex(report))
+            yield f"ladder[{j}].limit[{i}].estimate", estimate.hex()
+            yield from _report_fields(f"ladder[{j}].limit[{i}].report", report)
         for stage in sorted({1, j // 2 + 1, j}):
             reduced = remove_compartment(pair, stage)
-            yield (f"ladder[{j}].removal[{stage}]", stage,
-                   *_hexes(reduced.V_inv.data))
+            yield (f"ladder[{j}].removal[{stage}].V_inv",
+                   _hexes(reduced.V_inv.data))
 
 
 def _boundary_rays(rng):
@@ -366,22 +397,26 @@ def _boundary_rays(rng):
                           + Matrix(np.diag(below, -1).tolist()), c + 1)
         kept, last, usable, flags = _last_stage_schedule(
             ray, ts, exact_minor_inverse(ray))
-        yield (f"boundary[{k}].kernel", c + 1, *map(int, usable),
-               *map(int, flags), *_hexes(kept.ravel().tolist()),
-               *_hexes(last.ravel().tolist()))
+        key = f"boundary[{k}].kernel"
+        yield f"{key}.i", str(c + 1)
+        yield f"{key}.usable", "".join(str(int(u)) for u in usable)
+        yield f"{key}.flags", "".join(str(int(f)) for f in flags)
+        yield f"{key}.kept", _hexes(kept.ravel().tolist())
+        yield f"{key}.last", _hexes(last.ravel().tolist())
         f = Matrix(rng.uniform(0.0, 1.0, (n, n)).tolist())
         estimate, report = spectral_limit(f, ray, ts)
-        yield (f"boundary[{k}].limit", estimate.hex(), *_report_hex(report))
+        yield f"boundary[{k}].limit.estimate", estimate.hex()
+        yield from _report_fields(f"boundary[{k}].limit.report", report)
 
 
 def spectra():
     """Records that no command prints, drawn in turn from one generator
-    seeded 42; each line is ``spectra KEY`` and the record's values."""
+    seeded 42, each key prefixed with ``spectra``."""
     rng = np.random.default_rng(42)
     for part in (_relapse_checks, _dense_spectra, _inverses, _ladders,
                  _boundary_rays):
-        for key, *values in part(rng):
-            yield " ".join(map(str, ("spectra", key, *values)))
+        for key, text in part(rng):
+            yield f"spectra {key}", text
 
 
 # Each section imports ngmlimit as it runs, after main has put --src first
@@ -389,11 +424,87 @@ def spectra():
 SECTIONS = (op_results, builder_blocks, verify_report, cli_outputs, spectra)
 
 
+def read_print(path: Path) -> dict[str, str]:
+    """KEY -> VALUE of every line of a print, in its order."""
+    records = {}
+    for n, line in enumerate(path.read_text().splitlines(), 1):
+        key, tab, value = line.partition("\t")
+        if not tab or key in records:
+            raise ValueError(f"{path}:{n}: not a line with a new key")
+        records[key] = value
+    return records
+
+
+def read_moves(path: Path) -> list[tuple[str, str]]:
+    """``(glob, reason)`` for each declared line of a moves file."""
+    moves = []
+    for n, line in enumerate(path.read_text().splitlines(), 1):
+        glob, _, reason = line.partition("#")
+        if not glob.strip():
+            continue
+        if not reason.strip():
+            raise ValueError(f"{path}:{n}: a glob needs a '#' reason")
+        moves.append((glob.strip(), reason.strip()))
+    return moves
+
+
+def _matcher(glob: str):
+    """Full match of ``glob``: ``*`` any run, ``?`` any one character."""
+    return re.compile("".join(
+        ".*" if ch == "*" else "." if ch == "?" else re.escape(ch)
+        for ch in glob), re.S).fullmatch
+
+
+# moved keys listed per group; the count is always given
+SHOWN = 200
+
+
+def compare(base: dict[str, str], head: dict[str, str],
+            moves: list[tuple[str, str]]):
+    """The report lines and the verdict of two prints against the
+    declared moves: every moved key, at most SHOWN per group, under the
+    first glob that matches it; False where a moved key matches no glob
+    or a glob matches no moved key."""
+    moved = [key for key in base if head.get(key) != base[key]]
+    moved += [key for key in head if key not in base]
+    matchers = [_matcher(glob) for glob, _ in moves]
+    groups = {glob: [] for glob, _ in moves}
+    used, unmatched = set(), []
+    for key in moved:
+        hits = [glob for (glob, _), match in zip(moves, matchers)
+                if match(key)]
+        used.update(hits)
+        (groups[hits[0]] if hits else unmatched).append(key)
+    lines = [f"{len(moved)} moved keys, {len(moves)} declared globs"]
+    for glob, reason in moves:
+        lines.append(f"{glob}  # {reason}: {len(groups[glob])} keys")
+        lines += [f"  {key}" for key in groups[glob][:SHOWN]]
+    if unmatched:
+        lines.append(f"FAILED: {len(unmatched)} moved keys match no glob")
+        lines += [f"  {key}" for key in unmatched[:SHOWN]]
+    unused = [glob for glob, _ in moves if glob not in used]
+    for glob in unused:
+        lines.append(f"FAILED: glob {glob!r} matches no moved key")
+    if max(map(len, (*groups.values(), unmatched))) > SHOWN:
+        lines.append(f"(each group lists its first {SHOWN} keys)")
+    return lines, not unmatched and not unused
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    parser.add_argument("--src", required=True, type=Path,
-                        help="directory holding the ngmlimit package")
+    mode = parser.add_mutually_exclusive_group(required=True)
+    mode.add_argument("--src", type=Path,
+                      help="directory holding the ngmlimit package")
+    mode.add_argument("--compare", nargs=2, type=Path,
+                      metavar=("BASE", "HEAD"), help="two prints to compare")
+    parser.add_argument("--moves", type=Path,
+                        help="with --compare: the declared moves")
     args = parser.parse_args(argv)
+    if args.compare:
+        moves = read_moves(args.moves) if args.moves else []
+        lines, ok = compare(*map(read_print, args.compare), moves)
+        print("\n".join(lines))
+        return 0 if ok else 1
     src = args.src.resolve()
     if not (src / "ngmlimit" / "__init__.py").is_file():
         parser.error(f"no ngmlimit package under {src}")
@@ -402,8 +513,8 @@ def main(argv=None) -> int:
     if src not in loaded.parents:
         parser.error(f"ngmlimit was imported from {loaded}, not from {src}")
     for section in SECTIONS:
-        for line in section():
-            print(line)
+        for key, value in section():
+            print(f"{key}\t{value}")
     return 0
 
 
