@@ -354,16 +354,10 @@ def spectral_limit(
 
 def _spectral_limit(f: Matrix, v_ray: DiagonalRay, minor_inverse: Matrix,
                     schedule: "Sequence[float] | None",
-                    target: "float | None",
-                    base_inverse: "Matrix | None" = None,
-                    ) -> tuple[float, ConvergenceReport]:
+                    target: "float | None") -> tuple[float, ConvergenceReport]:
     """:func:`spectral_limit`, given the inverse of the ray's (i, i) minor,
     from which the target comes when none is given. A given target is a
-    spectral radius: a finite real number, at least zero.
-    ``base_inverse``, where given, is the inverse of the ray's base, of
-    which ``minor_inverse`` is the exact deletion
-    (:func:`_minor_inverse_by_deletion`); a last-stage schedule then reads
-    its rows from it (:func:`_last_stage_schedule`)."""
+    spectral radius: a finite real number, at least zero."""
     if target is None:
         target = spectral_radius(
             matmul(minor(f, v_ray.i, v_ray.i), minor_inverse))
@@ -377,7 +371,7 @@ def _spectral_limit(f: Matrix, v_ray: DiagonalRay, minor_inverse: Matrix,
     # F A(t)^-1 is zero outside F's nonzero rows R, so its nonzero
     # eigenvalues are those of its (R, R) block
     rows = np.flatnonzero(f._a.any(axis=1))
-    factored = _last_stage_schedule(v_ray, ts, minor_inverse, base_inverse)
+    factored = _last_stage_schedule(v_ray, ts, minor_inverse)
     if factored is None:
         inverses, usable, flags = _invert_schedule(v_ray, ts)
         # rebinding frees the full stack, so at most two stacks are alive
@@ -386,8 +380,7 @@ def _spectral_limit(f: Matrix, v_ray: DiagonalRay, minor_inverse: Matrix,
         products = np.matmul(f._a[rows], inverses)
     else:
         # the rows other than i are the minor's inverse bordered by
-        # zeros, or the base's inverse's, which the caller has checked
-        # finite
+        # zeros, which the caller has checked finite
         kept, last, usable, flags = factored
         _require_finite(last)
         c = v_ray.i - 1
@@ -396,13 +389,7 @@ def _spectral_limit(f: Matrix, v_ray: DiagonalRay, minor_inverse: Matrix,
         # as the full product sums it where row i holds the last nonzero
         # of each column (a chain's last stage)
         products = f_rows[:, c, None] * last[:, None]
-        if kept is None:
-            # F's zeroed column i meets the base's row i alone, which
-            # adds a zero to each sum
-            f_rows[:, c] = 0.0
-            products += f_rows @ base_inverse._a
-        else:
-            products += _drop(f_rows, None, c) @ kept
+        products += _drop(f_rows, None, c) @ kept
     _require_finite(products)
     blocks = np.ascontiguousarray(products[:, :, rows])
     radii = np.full(len(ts), math.nan)
@@ -414,8 +401,7 @@ def _spectral_limit(f: Matrix, v_ray: DiagonalRay, minor_inverse: Matrix,
 
 
 def _last_stage_schedule(ray: DiagonalRay, ts: Sequence[float],
-                         minor_inverse: Matrix,
-                         base_inverse: "Matrix | None" = None):
+                         minor_inverse: Matrix):
     """:func:`_invert_schedule` of a ray whose base is lower bidiagonal,
     with column i zero below the diagonal and no entry larger in
     magnitude than the pivot above it (a chain's last stage), without
@@ -444,13 +430,6 @@ def _last_stage_schedule(ray: DiagonalRay, ts: Sequence[float],
     last row of the leading (i x i) block's inverse, padded with +0. Every
     step runs under one errstate: a condition estimate past the float
     range is inf, which trips the guard, as the stack's does, unwarned.
-
-    Where ``base_inverse``, the base's inverse, is given, ``minor_inverse``
-    being its exact deletion, those rows are its rows other than i, and
-    no block of them is built: their largest row sum of ``|A(t)^-1|`` is
-    the largest of ``|base_inverse|``'s, row i's set to 0 (column i is
-    zero off the diagonal, so each sum adds the same values), and None is
-    returned in place of the rows.
     """
     a = ray.base._a
     c = ray.i - 1
@@ -465,15 +444,10 @@ def _last_stage_schedule(ray: DiagonalRay, ts: Sequence[float],
             or (c < n - 1 and below[c])
             or np.count_nonzero(drops > magnitudes[:-1])):
         return None
-    if base_inverse is None:
-        m = minor_inverse._a
-        kept = np.empty((n - 1, n))
-        kept[:, :c] = m[:, :c]
-        kept[:, c + 1:] = m[:, c:]
-    else:
-        kept = None
-        kept_sums = np.abs(base_inverse._a).sum(axis=1)
-        kept_sums[c] = 0.0
+    m = minor_inverse._a
+    kept = np.empty((n - 1, n))
+    kept[:, :c] = m[:, :c]
+    kept[:, c + 1:] = m[:, c:]
     sums = magnitudes.copy()
     sums[1:] += drops
     # every row sum and |pivot| is at least zero: zeroing row i's sum
@@ -486,13 +460,11 @@ def _last_stage_schedule(ray: DiagonalRay, ts: Sequence[float],
         norms = np.maximum(sums.max(), t + drops[c - 1] if c else t)
         low = np.maximum(SINGULARITY_RTOL * norms, _SMALLEST_POSITIVE)
         usable = (t >= low) & (magnitudes.min() >= low)
-        if kept is not None:
-            kept[:, c] = 0.0 / _drop(pivots, c)
-            kept_sums = np.abs(kept).sum(axis=1)
+        kept[:, c] = 0.0 / _drop(pivots, c)
         y = np.zeros(n)
         y[:c + 1] = _bidiagonal_inverse(below[:c] / pivots[:c])[c]
         last = y / t[:, None]
-        inverse_norms = np.maximum(kept_sums.max(),
+        inverse_norms = np.maximum(np.abs(kept).sum(axis=1).max(),
                                    np.abs(last).sum(axis=1))
         flags = ~usable | (norms * inverse_norms > CONDITION_GUARD)
     return kept, last[usable], usable.tolist(), flags.tolist()

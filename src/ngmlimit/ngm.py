@@ -218,15 +218,11 @@ def r0_removal_limit(
     point against the removed-compartment r0 (or an explicit ``target``,
     e.g. a closed form). The (i, i) minor's inverse, for that r0 and for
     failing fast on a singular minor, is taken as
-    :func:`remove_compartment` takes it; where it is deleted from the
-    pair's ``V_inv``, a chain's last stage reads the schedule's fixed rows
-    from ``V_inv`` itself.
+    :func:`remove_compartment` takes it.
     """
     ray = DiagonalRay(pair.V, i)
     minor_inverse = _minor_inverse_by_deletion(ray, pair.V_inv)
-    base_inverse = pair.V_inv
     if minor_inverse is None:
-        minor_inverse, base_inverse = exact_minor_inverse(ray), None
-    _, report = _spectral_limit(pair.F, ray, minor_inverse, schedule, target,
-                                base_inverse)
+        minor_inverse = exact_minor_inverse(ray)
+    _, report = _spectral_limit(pair.F, ray, minor_inverse, schedule, target)
     return report
